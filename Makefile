@@ -59,6 +59,7 @@ check:
 	DIVREL_DOMAINS=2 PROP_SEED=271828 dune exec test/test_diff.exe
 	DIVREL_DOMAINS=2 PROP_SEED=314159 dune exec test/test_diff.exe
 	dune build @bench-smoke
+	dune build @bench-diff-smoke
 	dune build @evidence-smoke
 	dune build @adjudication-smoke
 	dune build @serve-smoke

@@ -53,33 +53,6 @@ type parsed =
   | Skipped of string  (** well-formed event of an unconsumed kind *)
   | Malformed of string  (** diagnostic; the line is counted, not fatal *)
 
-(* ------------------------------------------------------------------ *)
-(* Field accessors returning [result] so parse failures carry context  *)
-(* ------------------------------------------------------------------ *)
-
-let field name json =
-  match Obs.Json.member name json with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing field %S" name)
-
-let int_field name json =
-  Result.bind (field name json) (fun v ->
-      match Obs.Json.to_int v with
-      | Some i -> Ok i
-      | None -> Error (Printf.sprintf "field %S is not an integer" name))
-
-let float_field name json =
-  Result.bind (field name json) (fun v ->
-      match Obs.Json.to_float v with
-      | Some f -> Ok f
-      | None -> Error (Printf.sprintf "field %S is not a number" name))
-
-let string_field name json =
-  Result.bind (field name json) (fun v ->
-      match Obs.Json.to_string v with
-      | Some s -> Ok s
-      | None -> Error (Printf.sprintf "field %S is not a string" name))
-
 let ( let* ) = Result.bind
 
 (* [demand_hist] is sparse: a list of [id, count] pairs. Absent or null
@@ -110,22 +83,24 @@ let demand_hist_field json =
 let parse_kind kind json =
   match kind with
   | "run.start" ->
-      let* target = string_field "target" json in
-      let* seed = int_field "seed" json in
-      let* shards = int_field "shards" json in
+      let* target = Obs.Json.(field "target" to_string json) in
+      let* seed = Obs.Json.(field "seed" to_int json) in
+      let* shards = Obs.Json.(field "shards" to_int json) in
       Ok (Event (Run_start { target; seed; shards }))
   | "run.end" ->
-      let* target = string_field "target" json in
-      let* seed = int_field "seed" json in
-      let* shards = int_field "shards" json in
-      let* rng_draws = int_field "rng_draws" json in
-      let* duration_ns = int_field "duration_ns" json in
+      let* target = Obs.Json.(field "target" to_string json) in
+      let* seed = Obs.Json.(field "seed" to_int json) in
+      let* shards = Obs.Json.(field "shards" to_int json) in
+      let* rng_draws = Obs.Json.(field "rng_draws" to_int json) in
+      let* duration_ns = Obs.Json.(field "duration_ns" to_int json) in
       Ok (Event (Run_end { target; seed; shards; rng_draws; duration_ns }))
   | "runner.run" ->
-      let* demands = int_field "demands" json in
-      let* system_failures = int_field "system_failures" json in
-      let* coincident_failures = int_field "coincident_failures" json in
-      let* rng_draws = int_field "rng_draws" json in
+      let* demands = Obs.Json.(field "demands" to_int json) in
+      let* system_failures = Obs.Json.(field "system_failures" to_int json) in
+      let* coincident_failures =
+        Obs.Json.(field "coincident_failures" to_int json)
+      in
+      let* rng_draws = Obs.Json.(field "rng_draws" to_int json) in
       let* demand_hist = demand_hist_field json in
       if demands <= 0 then Error "field \"demands\" must be positive"
       else if system_failures < 0 || system_failures > demands then
@@ -142,25 +117,27 @@ let parse_kind kind json =
                   demand_hist;
                 }))
   | "fleet.plant" ->
-      let* plant = int_field "plant" json in
-      let* demands = int_field "demands" json in
-      let* failures = int_field "failures" json in
-      let* true_pfd = float_field "true_pfd" json in
+      let* plant = Obs.Json.(field "plant" to_int json) in
+      let* demands = Obs.Json.(field "demands" to_int json) in
+      let* failures = Obs.Json.(field "failures" to_int json) in
+      let* true_pfd = Obs.Json.(field "true_pfd" to_float json) in
       if plant < 0 then Error "field \"plant\" must be non-negative"
       else if demands <= 0 then Error "field \"demands\" must be positive"
       else if failures < 0 || failures > demands then
         Error "field \"failures\" outside [0, demands]"
       else Ok (Event (Fleet_plant { plant; demands; failures; true_pfd }))
   | "fleet.observe" ->
-      let* plants = int_field "plants" json in
-      let* demands_per_plant = int_field "demands_per_plant" json in
-      let* failures = int_field "failures" json in
+      let* plants = Obs.Json.(field "plants" to_int json) in
+      let* demands_per_plant =
+        Obs.Json.(field "demands_per_plant" to_int json)
+      in
+      let* failures = Obs.Json.(field "failures" to_int json) in
       Ok (Event (Fleet_observe { plants; demands_per_plant; failures }))
   | "sprt.decision" ->
-      let* decision = string_field "decision" json in
-      let* demands = int_field "demands" json in
-      let* failures = int_field "failures" json in
-      let* log_lr = float_field "log_lr" json in
+      let* decision = Obs.Json.(field "decision" to_string json) in
+      let* demands = Obs.Json.(field "demands" to_int json) in
+      let* failures = Obs.Json.(field "failures" to_int json) in
+      let* log_lr = Obs.Json.(field "log_lr" to_float json) in
       let* decision =
         match decision with
         | "accept" -> Ok Accept
@@ -174,16 +151,12 @@ let parse_kind kind json =
 let parse_json json =
   match json with
   | Obs.Json.Obj _ -> (
-      match Obs.Json.member "event" json with
-      | None -> Malformed "object has no \"event\" field"
-      | Some kind -> (
-          match Obs.Json.to_string kind with
-          | None -> Malformed "\"event\" field is not a string"
-          | Some kind -> (
-              match parse_kind kind json with
-              | Ok parsed -> parsed
-              | Error msg ->
-                  Malformed (Printf.sprintf "event %S: %s" kind msg))))
+      match Obs.Json.(field "event" to_string json) with
+      | Error msg -> Malformed msg
+      | Ok kind -> (
+          match parse_kind kind json with
+          | Ok parsed -> parsed
+          | Error msg -> Malformed (Printf.sprintf "event %S: %s" kind msg)))
   | _ -> Malformed "line is not a JSON object"
 
 let parse_line line =

@@ -283,3 +283,8 @@ let to_float = function
   | Float f -> Some f
   | Int i -> Some (float_of_int i)
   | _ -> None
+
+let field name conv json =
+  match Option.bind (member name json) conv with
+  | Some v -> Ok v
+  | None -> Error (Printf.sprintf "missing or ill-typed field %S" name)

@@ -32,3 +32,10 @@ val to_int : t -> int option
 
 val to_float : t -> float option
 (** Also accepts {!Int}, widening to float. *)
+
+val field : string -> (t -> 'a option) -> t -> ('a, string) result
+(** [field name conv json] is [conv] applied to [json]'s [name] member.
+    [Error "missing or ill-typed field \"name\""] when the member is
+    absent, [conv] rejects it, or [json] is not an {!Obj} — the one
+    field-extraction policy shared by every consumer of a parsed
+    tree. *)

@@ -3,7 +3,7 @@
    (salted per request for the fleet verb), every sharded computation
    runs with the shard count carried in the request (never a server
    default), and the whole evaluation happens inline on the calling
-   domain via a private size-1 pool. That last point is what makes the
+   domain via one shared size-1 pool. That last point is what makes the
    service's byte-identity guarantee compositional — a dispatcher may
    run evaluations on any worker domain in any order and the bytes
    cannot change — and what makes the per-request draw meter exact:
@@ -141,12 +141,15 @@ let fleet_mission_body pool ~seed u ~plants ~demands_per_plant ~mission_demands
                 ~mission_demands) );
        ])
 
+(* The inline pool: size 1 spawns no domain and its [run] executes on
+   the caller without touching pool state, so evaluation never leaves
+   the calling domain (a dispatcher can host it on any worker without
+   nesting pools, and the draw delta in [eval] is exact) and concurrent
+   evaluations on several workers may share it. *)
+let pool = Exec.Pool.create ~domains:1 ()
+
 let eval ~seed (r : Proto.request) =
   let draws0 = Numerics.Rng.local_draws () in
-  (* Private inline pool: evaluation never leaves this domain, so the
-     dispatcher can host it on any worker without nesting pools, and
-     the draw delta below is exact. *)
-  let pool = Exec.Pool.create ~domains:1 () in
   let body =
     try
       let u = Core.Universe.of_arrays ~p:r.Proto.u.Proto.ps ~q:r.Proto.u.Proto.qs in
@@ -164,7 +167,6 @@ let eval ~seed (r : Proto.request) =
     | Invalid_argument msg -> Error msg
     | Failure msg -> Error msg
   in
-  Exec.Pool.shutdown pool;
   let draws = Numerics.Rng.local_draws () - draws0 in
   match body with
   | Ok body ->

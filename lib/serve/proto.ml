@@ -105,19 +105,14 @@ let render_admin ~id verb =
 
 let ( let* ) r f = Result.bind r f
 
-let field name json conv =
-  match Option.bind (Obs.Json.member name json) conv with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing or ill-typed field %S" name)
-
 let int_field name json lo hi =
-  let* v = field name json Obs.Json.to_int in
+  let* v = Obs.Json.field name Obs.Json.to_int json in
   if v < lo || v > hi then
     Error (Printf.sprintf "field %S out of range [%d, %d]" name lo hi)
   else Ok v
 
 let float_array name json =
-  let* items = field name json Obs.Json.to_list in
+  let* items = Obs.Json.field name Obs.Json.to_list json in
   let n = List.length items in
   if n = 0 then Error (Printf.sprintf "field %S is empty" name)
   else if n > max_faults then
@@ -157,11 +152,11 @@ let parse_line s =
     | Ok j -> Ok j
     | Error e -> Error ("malformed JSON: " ^ e)
   in
-  let* id = field "id" json Obs.Json.to_string in
+  let* id = Obs.Json.field "id" Obs.Json.to_string json in
   if id = "" || String.length id > max_id_len then
     Error "field \"id\" must be a non-empty string of at most 128 bytes"
   else
-    let* verb = field "verb" json Obs.Json.to_string in
+    let* verb = Obs.Json.field "verb" Obs.Json.to_string json in
     match verb with
     | "stats" -> Ok (Admin { id; verb = Stats })
     | "shutdown" -> Ok (Admin { id; verb = Shutdown })
@@ -301,7 +296,9 @@ let parse_response s =
     | Ok j -> Ok j
     | Error e -> Error ("malformed response JSON: " ^ e)
   in
-  let* ok = field "ok" json (function Obs.Json.Bool b -> Some b | _ -> None) in
+  let* ok =
+    Obs.Json.field "ok" (function Obs.Json.Bool b -> Some b | _ -> None) json
+  in
   let str name = Option.bind (Obs.Json.member name json) Obs.Json.to_string in
   let int name = Option.bind (Obs.Json.member name json) Obs.Json.to_int in
   Ok

@@ -3,9 +3,9 @@
    protocol of [Proto].
 
    Concurrency model: the event loop owns every socket, buffer, the
-   admission queue and all instruments; parallelism lives exclusively
-   inside [Dispatcher.run_batch] (an [Exec.Pool] batch that blocks the
-   loop until joined). So there is exactly one thread of control
+   bounded admission queue and all instruments; parallelism lives
+   exclusively inside [Dispatcher.run_batch] (an [Exec.Pool] batch that
+   blocks the loop until joined). So there is exactly one thread of control
    touching mutable state, every instrument observation happens while
    the pool workers are parked (the single-writer rule of lib/obs),
    and the response bytes are those of [Engine.eval] — a pure function
@@ -15,7 +15,11 @@
    Protocol invariant: every complete line received is answered with
    exactly one line (result, busy rejection, or error). A client that
    closes its connection forfeits its undelivered replies; nothing
-   else is ever dropped or duplicated. *)
+   else is ever dropped or duplicated. Backpressure is the queue bound:
+   a request arriving at a full queue is answered with a busy line
+   carrying the observed depth and [Proto.retry_after_ms]. Running out
+   of file descriptors only pauses [accept] until a connection
+   closes. *)
 
 type listen = Unix_path of string | Tcp_port of int
 
@@ -40,11 +44,13 @@ type stats = {
    max_faults) yet bounding per-connection memory. *)
 let max_line_bytes = 1 lsl 20
 
+(* Unwritten replies are [out.[out_lo .. out_hi - 1]]. *)
 type conn = {
   fd : Unix.file_descr;
   inbuf : Buffer.t;
-  outbuf : Buffer.t;
-  mutable out_ofs : int;
+  mutable out : Bytes.t;
+  mutable out_lo : int;
+  mutable out_hi : int;
   mutable eof : bool;
   mutable dead : bool;
 }
@@ -73,7 +79,16 @@ let instruments =
           [ "moments"; "risk-ratio"; "pfd-dist"; "fleet-mission" ];
     }
 
-let mk_conn fd = { fd; inbuf = Buffer.create 512; outbuf = Buffer.create 512; out_ofs = 0; eof = false; dead = false }
+let mk_conn fd =
+  {
+    fd;
+    inbuf = Buffer.create 512;
+    out = Bytes.create 512;
+    out_lo = 0;
+    out_hi = 0;
+    eof = false;
+    dead = false;
+  }
 
 let kill c =
   if not c.dead then begin
@@ -81,29 +96,45 @@ let kill c =
     try Unix.close c.fd with Unix.Unix_error _ -> ()
   end
 
-let pending_out c = Buffer.length c.outbuf - c.out_ofs > 0
+let pending_out c = c.out_hi > c.out_lo
 
+(* When the line does not fit after [out_hi], the unwritten bytes slide
+   to the front if the written prefix is at least as long as them (so
+   each written byte pays for one moved byte), otherwise into a buffer
+   twice the size: appending stays amortised O(1) per byte however far
+   behind a slow reader falls. *)
 let push_line c line =
   if not c.dead then begin
-    Buffer.add_string c.outbuf line;
-    Buffer.add_char c.outbuf '\n'
+    let len = String.length line + 1 in
+    if c.out_hi + len > Bytes.length c.out then begin
+      let pending = c.out_hi - c.out_lo in
+      let dst =
+        if c.out_lo >= pending && pending + len <= Bytes.length c.out then c.out
+        else Bytes.create (max (2 * Bytes.length c.out) (pending + len))
+      in
+      Bytes.blit c.out c.out_lo dst 0 pending;
+      c.out <- dst;
+      c.out_lo <- 0;
+      c.out_hi <- pending
+    end;
+    Bytes.blit_string line 0 c.out c.out_hi (len - 1);
+    Bytes.set c.out (c.out_hi + len - 1) '\n';
+    c.out_hi <- c.out_hi + len
   end
 
+(* One write syscall from the pending offset, no copy of the backlog. *)
 let flush_conn c =
-  if (not c.dead) && pending_out c then begin
-    let data = Buffer.contents c.outbuf in
-    let len = String.length data - c.out_ofs in
-    match Unix.write_substring c.fd data c.out_ofs len with
+  if (not c.dead) && pending_out c then
+    match Unix.single_write c.fd c.out c.out_lo (c.out_hi - c.out_lo) with
     | n ->
-        c.out_ofs <- c.out_ofs + n;
-        if c.out_ofs = String.length data then begin
-          Buffer.clear c.outbuf;
-          c.out_ofs <- 0
+        c.out_lo <- c.out_lo + n;
+        if c.out_lo = c.out_hi then begin
+          c.out_lo <- 0;
+          c.out_hi <- 0
         end
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
     | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
         kill c
-  end
 
 (* Drain complete lines out of the connection's input buffer, leaving
    any trailing partial line buffered. Trailing CR is stripped so CRLF
@@ -161,11 +192,13 @@ let serve ?on_ready config =
   (match on_ready with Some f -> f actual_port | None -> ());
   let pool = Exec.Pool.create ~domains:config.workers () in
   let disp = Dispatcher.create ~pool ~seed:config.seed in
-  let queue : (conn * Proto.request) Admission.t =
-    Admission.create ~capacity:config.queue_capacity
-  in
+  let queue : (conn * Proto.request) Queue.t = Queue.create () in
   let conns = ref [] in
+  (* Set when [accept] runs out of file descriptors: the listener then
+     leaves the select set until a connection closes. *)
+  let accept_paused = ref false in
   let served = ref 0 in
+  let rejected = ref 0 in
   let malformed = ref 0 in
   let batches = ref 0 in
   let stopping = ref false in
@@ -175,10 +208,10 @@ let serve ?on_ready config =
     Obs.Json.Obj
       [
         ("served", Obs.Json.Int !served);
-        ("rejected", Obs.Json.Int (Admission.rejected queue));
+        ("rejected", Obs.Json.Int !rejected);
         ("malformed", Obs.Json.Int !malformed);
-        ("queue_depth", Obs.Json.Int (Admission.depth queue));
-        ("queue_capacity", Obs.Json.Int (Admission.capacity queue));
+        ("queue_depth", Obs.Json.Int (Queue.length queue));
+        ("queue_capacity", Obs.Json.Int config.queue_capacity);
         ("workers", Obs.Json.Int (Dispatcher.workers disp));
         ("draws_total", Obs.Json.Int (Numerics.Rng.total_draws () - draws0));
       ]
@@ -201,14 +234,16 @@ let serve ?on_ready config =
           (Proto.ok_line ~id ~verb:"shutdown" ~seed:config.seed ~draws:0
              ~body:(Obs.Json.Obj [ ("stopping", Obs.Json.Bool true) ]));
         stopping := true
-    | Ok (Proto.Work req) -> (
-        match Admission.offer queue (c, req) with
-        | Admission.Admitted -> ()
-        | Admission.Rejected { queue_depth } ->
-            Obs.Metrics.incr ins.m_rejected;
-            push_line c
-              (Proto.busy_line ~id:req.Proto.id ~queue_depth
-                 ~capacity:(Admission.capacity queue)))
+    | Ok (Proto.Work req) ->
+        let queue_depth = Queue.length queue in
+        if queue_depth < config.queue_capacity then Queue.push (c, req) queue
+        else begin
+          incr rejected;
+          Obs.Metrics.incr ins.m_rejected;
+          push_line c
+            (Proto.busy_line ~id:req.Proto.id ~queue_depth
+               ~capacity:config.queue_capacity)
+        end
   in
 
   let rec read_conn c =
@@ -242,10 +277,15 @@ let serve ?on_ready config =
         accept_all ()
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
     | exception Unix.Unix_error (Unix.ECONNABORTED, _, _) -> accept_all ()
+    | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
+        accept_paused := true
   in
 
   let dispatch () =
-    let batch = Admission.take_batch queue ~max:config.batch_max in
+    let batch =
+      Array.init (min config.batch_max (Queue.length queue)) (fun _ ->
+          Queue.pop queue)
+    in
     if Array.length batch > 0 then begin
       incr batches;
       let results = Dispatcher.run_batch disp (Array.map snd batch) in
@@ -261,31 +301,32 @@ let serve ?on_ready config =
           push_line c res.Dispatcher.line)
         results
     end;
-    Obs.Metrics.set ins.m_queue_depth (float_of_int (Admission.depth queue))
+    Obs.Metrics.set ins.m_queue_depth (float_of_int (Queue.length queue))
   in
 
   let rec loop () =
-    conns := List.filter (fun c -> not c.dead) !conns;
-    let live = !conns in
+    let live = List.filter (fun c -> not c.dead) !conns in
+    if List.compare_lengths live !conns < 0 then accept_paused := false;
+    conns := live;
     let finished =
       !stopping
-      && Admission.depth queue = 0
+      && Queue.is_empty queue
       && List.for_all (fun c -> not (pending_out c)) live
     in
     if not finished then begin
       let reads =
         if !stopping then []
         else
-          listener
-          :: List.filter_map
-               (fun c -> if c.eof then None else Some c.fd)
-               live
+          let fds =
+            List.filter_map (fun c -> if c.eof then None else Some c.fd) live
+          in
+          if !accept_paused then fds else listener :: fds
       in
       let writes =
         List.filter_map (fun c -> if pending_out c then Some c.fd else None) live
       in
       let timeout =
-        if Admission.depth queue > 0 then 0.0
+        if not (Queue.is_empty queue) then 0.0
         else if !stopping then 0.01
         else -1.0
       in
@@ -318,7 +359,7 @@ let serve ?on_ready config =
     loop;
   {
     served = !served;
-    rejected = Admission.rejected queue;
+    rejected = !rejected;
     malformed = !malformed;
     batches = !batches;
     draws_total = Numerics.Rng.total_draws () - draws0;

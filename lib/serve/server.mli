@@ -1,8 +1,8 @@
 (** The assessment daemon: JSONL over a Unix-domain or loopback TCP
     socket, single-threaded {!Unix.select} event loop.
 
-    The loop owns every socket, buffer, the admission queue and all
-    instruments; parallelism lives exclusively inside
+    The loop owns every socket, buffer, the bounded admission queue
+    and all instruments; parallelism lives exclusively inside
     {!Dispatcher.run_batch}, which blocks the loop until the pool
     joins. Hence one thread of control over mutable state, instrument
     observations only while workers are parked (the lib/obs
@@ -16,6 +16,16 @@
     lines are counted and answered, never fatal. A client that closes
     its connection forfeits its undelivered replies; nothing else is
     dropped or duplicated.
+
+    Backpressure: a work request arriving when [queue_capacity]
+    requests are already queued is answered at once with
+    {!Proto.busy_line} (the observed depth and its retry advice); the
+    queue drains in FIFO batches of at most [batch_max]. Replies to a
+    client that reads slowly are buffered and written from the pending
+    offset, one write per loop turn, at a cost independent of the
+    backlog. When [accept] fails for lack of file descriptors
+    ([EMFILE]/[ENFILE]) the daemon stops accepting until one of its
+    connections closes, then accepts the waiting clients.
 
     Registered instruments (global {!Obs.Metrics} registry, recorded
     when telemetry is enabled): [serve.queue_depth] gauge,
@@ -31,7 +41,7 @@ type listen =
 type config = {
   listen : listen;
   workers : int;  (** {!Exec.Pool} size for the dispatcher. *)
-  queue_capacity : int;  (** admission bound; past it, busy lines. *)
+  queue_capacity : int;  (** queue bound; past it, busy lines. *)
   batch_max : int;  (** most requests dispatched per pool batch. *)
   seed : int;  (** the seed every evaluation is pure in. *)
 }

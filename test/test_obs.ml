@@ -69,6 +69,19 @@ let test_json_strictness () =
   | Ok (Json.String s) -> check_string "utf-8 decode" "\xc3\xa9" s
   | _ -> Alcotest.fail "\\u escape did not parse as a string"
 
+(* The shared field decoder: present, absent, ill-typed, non-object. *)
+let test_json_field () =
+  let doc = Json.Obj [ ("n", Json.Int 7); ("s", Json.String "x") ] in
+  let int_of name v = Json.field name Json.to_int v in
+  check_bool "present" true (int_of "n" doc = Ok 7);
+  check_bool "absent" true
+    (int_of "m" doc = Error "missing or ill-typed field \"m\"");
+  check_bool "ill-typed" true
+    (int_of "s" doc = Error "missing or ill-typed field \"s\"");
+  check_bool "non-object" true
+    (int_of "n" (Json.List [ doc ])
+    = Error "missing or ill-typed field \"n\"")
+
 (* ------------------------------------------------------------------ *)
 (* Metrics: histogram geometry at PFD scales                          *)
 (* ------------------------------------------------------------------ *)
@@ -440,6 +453,7 @@ let () =
           Alcotest.test_case "render/parse round-trip" `Quick
             test_json_roundtrip;
           Alcotest.test_case "strict parsing" `Quick test_json_strictness;
+          Alcotest.test_case "field decoder" `Quick test_json_field;
         ] );
       ( "metrics",
         [

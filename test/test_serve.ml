@@ -1,18 +1,18 @@
 (* lib/serve — the assessment service.
 
    Layered the way the service is: codec properties (parse ∘ render ≡ id
-   plus malformed-line rejection), admission/backpressure units, engine
-   determinism, dispatcher byte-identity across pool sizes, a
-   daemon-vs-one-shot CLI differential matrix over subprocesses, a
-   64-client soak with exact draw conservation, and a golden-pinned
-   session transcript under seed 42.
+   plus malformed-line rejection), in-process daemon admission and
+   backpressure, engine determinism, dispatcher byte-identity across
+   pool sizes, a daemon-vs-one-shot CLI differential matrix over
+   subprocesses, a slow-reader pipeline, descriptor exhaustion under
+   [ulimit -n], a 64-client soak with exact draw conservation, and a
+   golden-pinned session transcript under seed 42.
 
    Regenerate the golden transcript (from _build/default/test) with:
      SERVE_PRINT_GOLDEN=1 ./test_serve.exe > golden/serve_session_seed42.jsonl *)
 
 module Proto = Serve.Proto
 module Engine = Serve.Engine
-module Admission = Serve.Admission
 module Dispatcher = Serve.Dispatcher
 module Server = Serve.Server
 module Client = Serve.Client
@@ -114,7 +114,21 @@ let test_malformed_rejected () =
       match Proto.parse_line line with
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "malformed line accepted: %s" line)
-    malformed_lines
+    malformed_lines;
+  (* The detail strings travel on the wire in error lines: pin them. *)
+  List.iter
+    (fun (line, detail) ->
+      match Proto.parse_line line with
+      | Error got -> check_string ("detail of " ^ line) detail got
+      | Ok _ -> Alcotest.failf "malformed line accepted: %s" line)
+    [
+      ( {|{"verb":"moments","p":[0.1],"q":[0.01]}|},
+        {|missing or ill-typed field "id"|} );
+      ( {|{"id":"x","verb":"risk-ratio","p":[0.1],"q":[0.01],"channels":99,"required":1}|},
+        {|field "channels" out of range [1, 16]|} );
+      ( {|{"id":"x","verb":"moments","p":[null],"q":[0.01]}|},
+        {|field "p": non-finite entry|} );
+    ]
 
 let test_retry_after_policy () =
   check_int "floor is 1 ms" 1 (Proto.retry_after_ms ~queue_depth:0 ~capacity:64);
@@ -139,31 +153,6 @@ let test_retry_after_policy () =
         (resp.Proto.resp_retry_after_ms
         = Some (Proto.retry_after_ms ~queue_depth:8 ~capacity:8))
   | Error e -> Alcotest.failf "busy line unparseable: %s" e
-
-(* ------------------------------------------------------------------ *)
-(* Admission                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let test_admission_bounded_fifo () =
-  let q = Admission.create ~capacity:3 in
-  check_int "capacity" 3 (Admission.capacity q);
-  List.iter
-    (fun i ->
-      check_bool "admitted under capacity" true
-        (Admission.offer q i = Admission.Admitted))
-    [ 1; 2; 3 ];
-  (match Admission.offer q 4 with
-  | Admission.Rejected { queue_depth } ->
-      check_int "depth observed at rejection" 3 queue_depth
-  | Admission.Admitted -> Alcotest.fail "offer past capacity admitted");
-  check_int "accepted counter" 3 (Admission.accepted q);
-  check_int "rejected counter" 1 (Admission.rejected q);
-  check_bool "FIFO prefix" true (Admission.take_batch q ~max:2 = [| 1; 2 |]);
-  check_int "depth after batch" 1 (Admission.depth q);
-  check_bool "admits again after drain" true
-    (Admission.offer q 5 = Admission.Admitted);
-  check_bool "FIFO rest" true (Admission.take_batch q ~max:10 = [| 3; 5 |]);
-  check_bool "empty drain" true (Admission.take_batch q ~max:4 = [||])
 
 (* ------------------------------------------------------------------ *)
 (* Engine                                                             *)
@@ -230,10 +219,10 @@ let test_engine_unsupported_exact () =
 (* Dispatcher                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* A deliberately shuffled batch — kinds interleaved so the verb-grouping
-   permutation actually permutes — must come back in arrival order with
-   bytes identical to direct evaluation, for a sequential and a parallel
-   pool alike. *)
+(* A batch with the verb kinds interleaved must come back in arrival
+   order with bytes identical to direct evaluation, for a sequential and
+   a parallel pool alike — the parallel pool also runs several
+   evaluations at once on the engine's shared inline pool. *)
 let test_dispatcher_byte_identity () =
   let reindex i (r : Proto.request) =
     { r with Proto.id = Printf.sprintf "b%d-%s" i r.Proto.id }
@@ -252,7 +241,6 @@ let test_dispatcher_byte_identity () =
         (fun () ->
           let d = Dispatcher.create ~pool ~seed:42 in
           check_int "workers reports pool size" domains (Dispatcher.workers d);
-          check_int "seed echoed" 42 (Dispatcher.seed d);
           let results = Dispatcher.run_batch d batch in
           check_int "one result per request" (Array.length batch)
             (Array.length results);
@@ -356,6 +344,110 @@ let run_session ~socket lines =
 let reap_daemon pid =
   let _, status = Unix.waitpid [] pid in
   check_bool "daemon exited cleanly" true (status = Unix.WEXITED 0)
+
+let moments_request id : Proto.request = { Proto.id; u = u3; verb = Proto.Moments }
+
+let recv_or_fail c =
+  match Client.recv_line c with
+  | Some reply -> reply
+  | None -> Alcotest.fail "daemon closed while replies were outstanding"
+
+(* Run an in-process daemon (seed 42) on a private socket, hand [f] a
+   connected client, then shut the daemon down and return [f]'s result
+   with the session stats. *)
+let with_server ~workers ~queue_capacity ~batch_max f =
+  let listen = Server.Unix_path (temp_socket ()) in
+  let config =
+    { Server.listen; workers; queue_capacity; batch_max; seed = 42 }
+  in
+  let stats = ref None in
+  let server = Thread.create (fun () -> stats := Some (Server.serve config)) () in
+  let c = Client.connect listen in
+  let result = f c in
+  ignore (Client.round_trip c (Proto.render_admin ~id:"bye" Proto.Shutdown));
+  Client.close c;
+  Thread.join server;
+  match !stats with
+  | Some st -> (result, st)
+  | None -> Alcotest.fail "server thread returned no stats"
+
+(* Six requests in one write against a queue of two, dispatched one at
+   a time: the first two are admitted, the other four bounce at once
+   with the observed depth and its retry advice, and the admitted ones
+   are answered afterwards in arrival order. *)
+let test_admission_bounded_fifo () =
+  let requests = List.init 6 (fun i -> moments_request (string_of_int i)) in
+  let replies, stats =
+    with_server ~workers:1 ~queue_capacity:2 ~batch_max:1 (fun c ->
+        Client.send_line c
+          (String.concat "\n" (List.map Proto.render_request requests));
+        List.map (fun _ -> recv_or_fail c) requests)
+  in
+  check_int "retry advice at depth 2 of 2" 65
+    (Proto.retry_after_ms ~queue_depth:2 ~capacity:2);
+  let busy i = Proto.busy_line ~id:(string_of_int i) ~queue_depth:2 ~capacity:2 in
+  let served i = Engine.eval ~seed:42 (List.nth requests i) in
+  List.iteri
+    (fun i expected -> check_string (Printf.sprintf "reply %d" i) expected (List.nth replies i))
+    [ busy 2; busy 3; busy 4; busy 5; served 0; served 1 ];
+  check_int "rejected" 4 stats.Server.rejected;
+  check_int "served" 2 stats.Server.served
+
+(* A client that pipelines thousands of requests and reads nothing
+   until it has sent them all leaves the daemon a reply backlog of
+   megabytes; every reply must still arrive intact and in order. *)
+let test_slow_reader_pipeline () =
+  let n = 4000 in
+  let requests = List.init n (fun i -> moments_request (Printf.sprintf "p%d" i)) in
+  let replies, stats =
+    with_server ~workers:1 ~queue_capacity:n ~batch_max:64 (fun c ->
+        Client.send_line c
+          (String.concat "\n" (List.map Proto.render_request requests));
+        List.map (fun _ -> recv_or_fail c) requests)
+  in
+  List.iteri
+    (fun i (r, reply) ->
+      if not (String.equal (Engine.eval ~seed:42 r) reply) then
+        Alcotest.failf "reply %d differs from direct evaluation: %s" i reply)
+    (List.combine requests replies);
+  check_int "none bounced" 0 stats.Server.rejected;
+  check_int "all served" n stats.Server.served
+
+(* A daemon limited to 16 descriptors with 20 clients connected: it
+   must not die on EMFILE. An accepted client is answered; once ten
+   clients hang up, the last one, still waiting in the listen backlog,
+   is accepted and answered; shutdown exits 0. *)
+let test_fd_exhaustion () =
+  let socket = temp_socket () in
+  let cmd =
+    "ulimit -n 16 && exec "
+    ^ Filename.quote_command cli_exe
+        [ "serve"; "--socket"; socket; "--workers"; "1"; "--seed"; "42" ]
+  in
+  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let pid =
+    Unix.create_process "/bin/sh" [| "/bin/sh"; "-c"; cmd |] Unix.stdin null null
+  in
+  Unix.close null;
+  let clients = Array.init 20 (fun _ -> Client.connect (Server.Unix_path socket)) in
+  let ask i =
+    let r = moments_request (Printf.sprintf "f%d" i) in
+    match Client.round_trip clients.(i) (Proto.render_request r) with
+    | Some reply ->
+        check_string (Printf.sprintf "client %d answered" i)
+          (Engine.eval ~seed:42 r) reply
+    | None -> Alcotest.failf "client %d: daemon closed the connection" i
+  in
+  ask 0;
+  for i = 0 to 9 do
+    Client.close clients.(i)
+  done;
+  ask 19;
+  ignore (Client.round_trip clients.(19) (Proto.render_admin ~id:"bye" Proto.Shutdown));
+  for i = 10 to 19 do
+    Client.close clients.(i)
+  done;
+  reap_daemon pid
 
 (* The differential matrix of the satellite spec: daemon output is
    byte-identical to the one-shot CLI for seeds {42, 271828}, workers
@@ -636,5 +728,9 @@ let () =
           Alcotest.test_case "soak: 64 clients, tight queue" `Quick test_soak;
           Alcotest.test_case "golden session transcript" `Quick
             test_golden_session;
+          Alcotest.test_case "slow reader: 4000 pipelined requests" `Quick
+            test_slow_reader_pipeline;
+          Alcotest.test_case "descriptor exhaustion pauses accept" `Quick
+            test_fd_exhaustion;
         ] );
     ]
