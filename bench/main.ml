@@ -208,7 +208,7 @@ let tests ~smoke () =
          (let probs = Core.Universe.ps u_small
           and values = Core.Universe.qs u_small in
           fun () ->
-            ignore (Core.Pfd_dist.exact_of_vectors_naive ~probs ~values ())));
+            ignore (Check.Reference.exact_of_vectors ~probs ~values ())));
     Test.make ~name:"grid-pfd-dist/n=1000,bins=2048"
       (Staged.stage (fun () -> ignore (Core.Pfd_dist.grid_single u_big ~bins:2048)));
     Test.make ~name:"sensitivity-gradient/n=1000"
@@ -216,10 +216,10 @@ let tests ~smoke () =
            ignore (Core.Sensitivity.risk_ratio_gradient ps_big)));
     Test.make ~name:"sensitivity-gradient-incremental/n=1000"
       (Staged.stage (fun () ->
-           ignore (Core.Sensitivity.risk_ratio_gradient ~shards:1 ps_big)));
+           ignore (Core.Sensitivity.risk_ratio_gradient ps_big)));
     Test.make ~name:"sensitivity-gradient-naive/n=1000"
       (Staged.stage (fun () ->
-           ignore (Core.Sensitivity.risk_ratio_gradient_naive ps_big)));
+           ignore (Check.Reference.risk_ratio_gradient ps_big)));
     Test.make ~name:"normal-ppf"
       (Staged.stage
          (let p = ref 0.001 in
@@ -306,10 +306,9 @@ type kernel_row = {
 }
 
 (* Domains each kernel computed on, recorded per row in the JSON.
-   Sequential kernels run on the calling domain; the parallel-estimate
-   pair pins its pool size in the kernel name; the naive gradient
-   reference shards over the process default pool (sized by --domains /
-   DIVREL_DOMAINS). The incremental gradient never engages the pool. *)
+   Sequential kernels, both gradient kernels among them, run on the
+   calling domain; the parallel pairs pin their pool size in the kernel
+   name. *)
 let kernel_domains name =
   match name with
   | "mc-estimate-parallel/1dom" | "fleet-observe-parallel/1dom"
@@ -318,7 +317,6 @@ let kernel_domains name =
   | "mc-estimate-parallel/4dom" | "fleet-observe-parallel/4dom"
   | "serve-throughput/4workers" ->
       4
-  | "sensitivity-gradient-naive/n=1000" -> Exec.Pool.size (Exec.Pool.default ())
   | _ -> 1
 
 (* Slow kernels complete few runs inside the standard half-second quota

@@ -27,19 +27,41 @@ let seed_arg =
   let doc = "Random seed used by every stochastic experiment component." in
   Arg.(value & opt int 42 & info [ "s"; "seed" ] ~docv:"SEED" ~doc)
 
+(* A file the command writes once its work is done. The path is vetted
+   when the command line is parsed, so a sink that cannot be created is
+   a usage error up front rather than an exception after the whole
+   computation. *)
+let out_file =
+  let parse path =
+    let dir = Filename.dirname path in
+    if not (Sys.file_exists dir && Sys.is_directory dir) then
+      Error (`Msg (Printf.sprintf "no '%s' directory for '%s'" dir path))
+    else if Sys.file_exists path && Sys.is_directory path then
+      Error (`Msg (Printf.sprintf "'%s' is a directory" path))
+    else
+      match
+        Unix.access (if Sys.file_exists path then path else dir) [ Unix.W_OK ]
+      with
+      | () -> Ok path
+      | exception Unix.Unix_error (e, _, _) ->
+          Error
+            (`Msg (Printf.sprintf "cannot write '%s': %s" path (Unix.error_message e)))
+  in
+  Arg.conv ~docv:"FILE" (parse, Format.pp_print_string)
+
 let trace_arg =
   let doc = "Write a Chrome trace-event JSON file of the simulator spans." in
-  Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
+  Arg.(value & opt (some out_file) None & info [ "trace" ] ~docv:"FILE" ~doc)
 
 let metrics_arg =
   let doc =
     "Write a JSON metrics snapshot (counters, gauges, histograms, RNG draws)."
   in
-  Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc)
+  Arg.(value & opt (some out_file) None & info [ "metrics" ] ~docv:"FILE" ~doc)
 
 let log_arg =
   let doc = "Write a JSONL structured run log (one event object per line)." in
-  Arg.(value & opt (some string) None & info [ "log" ] ~docv:"FILE" ~doc)
+  Arg.(value & opt (some out_file) None & info [ "log" ] ~docv:"FILE" ~doc)
 
 let domains_arg =
   let doc =
@@ -496,9 +518,20 @@ let read_script path =
   in
   List.filter (fun l -> String.trim l <> "") lines
 
+(* '-' (stdin) or an existing file; Arg.file would reject '-'. *)
+let script_file =
+  let parse path =
+    if path = "-" || (Sys.file_exists path && not (Sys.is_directory path)) then
+      Ok path
+    else if Sys.file_exists path then
+      Error (`Msg (Printf.sprintf "'%s' is a directory" path))
+    else Error (`Msg (Printf.sprintf "no '%s' file" path))
+  in
+  Arg.conv ~docv:"SCRIPT" (parse, Format.pp_print_string)
+
 let script_arg =
   let doc = "Request script: one JSON request per line ('-' for stdin)." in
-  Arg.(value & pos 0 string "-" & info [] ~docv:"SCRIPT" ~doc)
+  Arg.(value & pos 0 script_file "-" & info [] ~docv:"SCRIPT" ~doc)
 
 (* In-process smoke test: daemon on a private Unix socket in a thread, a
    scripted client through the public codec, every served response

@@ -383,7 +383,7 @@ let correlated_degenerate =
              ~trials:r ~mean ());
       ])
 
-(* ---- incremental rewrites vs the retained naive kernels ---- *)
+(* ---- incremental rewrites vs the Reference kernels ---- *)
 
 (* Tolerance for the incremental-vs-naive gradient agreement: the two
    paths evaluate the same closed form but associate the compensated
@@ -411,7 +411,7 @@ let gradient_incremental_vs_naive =
       let ps = Core.Universe.ps u in
       let max_abs_diff ps =
         let fast = Core.Sensitivity.risk_ratio_gradient ps in
-        let naive = Core.Sensitivity.risk_ratio_gradient_naive ps in
+        let naive = Reference.risk_ratio_gradient ps in
         let d = ref 0.0 in
         Array.iteri
           (fun i f ->
@@ -438,7 +438,7 @@ let gradient_incremental_vs_naive =
       let d_bound, tol_bound = max_abs_diff boundary in
       let k = 0.5 in
       let dk = Core.Sensitivity.risk_ratio_k_derivative ~b:ps ~k in
-      let dk_naive = Core.Sensitivity.risk_ratio_k_derivative_naive ~b:ps ~k in
+      let dk_naive = Reference.risk_ratio_k_derivative ~b:ps ~k in
       [
         mk ~oracle:id ~quantity:"gradient max |fast - naive|" ~analytic:0.0
           ~simulated:d_plain
@@ -461,13 +461,11 @@ let pfd_fast_vs_legacy =
     (fun s ->
       let u = Scenario.universe s in
       let probs = Core.Universe.ps u and values = Core.Universe.qs u in
-      let fast = Core.Pfd_dist.exact_of_vectors ~shards:1 ~probs ~values () in
-      let legacy = Core.Pfd_dist.exact_of_vectors_naive ~probs ~values () in
+      let fast = Core.Pfd_dist.exact_of_vectors ~probs ~values () in
+      let legacy = Reference.exact_of_vectors ~probs ~values () in
       let bins = 1024 in
-      let gfast = Core.Pfd_dist.grid_of_vectors ~shards:1 ~probs ~values ~bins () in
-      let glegacy =
-        Core.Pfd_dist.grid_of_vectors_naive ~shards:1 ~probs ~values ~bins ()
-      in
+      let gfast = Core.Pfd_dist.grid_of_vectors ~probs ~values ~bins () in
+      let glegacy = Reference.grid_of_vectors ~probs ~values ~bins () in
       [
         (* The sequential exact path claims bit-identity: same float ops
            in the same order, only the buffer management changed. *)

@@ -13,36 +13,23 @@ val risk_ratio_partial : float array -> int -> float
     p_i (closed form, cross-validated against numerical differentiation in
     the test suite). NaN when all probabilities are 0. *)
 
-val risk_ratio_gradient :
-  ?pool:Exec.Pool.t -> ?shards:int -> float array -> float array
+val risk_ratio_gradient : float array -> float array
 (** All partial derivatives, O(n): one pass builds compensated
     prefix/suffix log-products of (1 - p_j) and (1 - p_j^2) plus the two
     loop-invariant P(N>0) terms, making each partial O(1). Prefix +
     suffix (not global-product-divided-by-factor), so p_i = 1 stays
-    exact with no 0/0. [pool]/[shards] are accepted for API
-    compatibility; the O(n) pass is cheaper than dispatching a shard
-    task and the result never depends on either. Agrees with
-    {!risk_ratio_gradient_naive} to rounding (the incremental-vs-naive
-    differential oracle pins the tolerance). *)
-
-val risk_ratio_gradient_naive :
-  ?pool:Exec.Pool.t -> ?shards:int -> float array -> float array
-(** Retained O(n^2) reference: one independent {!risk_ratio_partial}
-    Kahan sum per coordinate, sharded over index slices across the pool;
-    identical to the sequential loop for any pool size or shard count.
-    The differential-oracle anchor for {!risk_ratio_gradient}. *)
+    exact with no 0/0. Agrees to rounding with the O(n^2) reference
+    [Check.Reference.risk_ratio_gradient], one {!risk_ratio_partial} per
+    coordinate (the incremental-vs-naive differential oracle pins the
+    tolerance). *)
 
 val risk_ratio_k_derivative : b:float array -> k:float -> float
 (** Appendix B: with p_i = k * b_i, the derivative of the risk ratio with
     respect to the process-quality parameter k. The paper proves it is
     non-negative for any b and any k with all k*b_i in [0, 1]: uniform
     process improvement always increases the gain from diversity. O(n)
-    via the same prefix/suffix machinery as {!risk_ratio_gradient}. *)
-
-val risk_ratio_k_derivative_naive : b:float array -> k:float -> float
-(** Retained O(n^2) reference for {!risk_ratio_k_derivative} (one
-    {!risk_ratio_partial} per coordinate), used by the differential
-    oracles. *)
+    via the same prefix/suffix machinery as {!risk_ratio_gradient}; its
+    O(n^2) reference is [Check.Reference.risk_ratio_k_derivative]. *)
 
 val stationary_p1 : p2:float -> float
 (** Appendix A, n = 2: the unique positive p1 at which the partial

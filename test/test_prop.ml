@@ -375,34 +375,7 @@ let test_prop_campaign_invariance () =
       check_int "one shard account per shard" shards
         (Array.length a.Simulator.Campaign.shard_draws))
 
-(* Pfd_dist: the exact enumeration is deterministic in shards (pool
-   size never matters); the grid convolution is bit-identical even
-   across shard counts. *)
-let test_prop_pfd_dist_invariance () =
-  Prop.check ~cases:30 "Pfd_dist exact/grid are domain-count invariant"
-    (Prop.pair (Prop.universe ~max_faults:8 ()) (Prop.int_range 1 8))
-    (fun (universe, shards) ->
-      let check_dist name a b =
-        check_bits (name ^ ": support") (Core.Pfd_dist.support a)
-          (Core.Pfd_dist.support b);
-        check_bits (name ^ ": masses") (Core.Pfd_dist.masses a)
-          (Core.Pfd_dist.masses b)
-      in
-      let p1 = Lazy.force pool1 and p4 = Lazy.force pool4 in
-      check_dist "exact_single"
-        (Core.Pfd_dist.exact_single ~pool:p1 ~shards universe)
-        (Core.Pfd_dist.exact_single ~pool:p4 ~shards universe);
-      check_dist "exact_pair"
-        (Core.Pfd_dist.exact_pair ~pool:p1 ~shards universe)
-        (Core.Pfd_dist.exact_pair ~pool:p4 ~shards universe);
-      check_dist "grid_single across pools"
-        (Core.Pfd_dist.grid_single ~pool:p1 ~shards universe ~bins:256)
-        (Core.Pfd_dist.grid_single ~pool:p4 ~shards universe ~bins:256);
-      check_dist "grid_single across shard counts"
-        (Core.Pfd_dist.grid_single ~pool:p4 ~shards:1 universe ~bins:256)
-        (Core.Pfd_dist.grid_single ~pool:p4 ~shards universe ~bins:256))
-
-(* ---- incremental kernels vs their retained naive references ---- *)
+(* ---- incremental kernels vs their Check.Reference counterparts ---- *)
 
 (* Tolerance for incremental-vs-naive gradient agreement (the
    EXPERIMENTS.md ulp policy): the paths differ only in summation
@@ -419,7 +392,7 @@ let gradient_tol naive =
 
 let check_gradient_agreement name ps =
   let fast = Core.Sensitivity.risk_ratio_gradient ps in
-  let naive = Core.Sensitivity.risk_ratio_gradient_naive ps in
+  let naive = Check.Reference.risk_ratio_gradient ps in
   check_int (name ^ ": length") (Array.length naive) (Array.length fast);
   let tol = gradient_tol naive in
   Array.iteri
@@ -451,27 +424,42 @@ let test_prop_gradient_incremental_vs_naive () =
       let b = Core.Universe.ps u in
       let k = 0.7 in
       let dk = Core.Sensitivity.risk_ratio_k_derivative ~b ~k in
-      let dk_naive = Core.Sensitivity.risk_ratio_k_derivative_naive ~b ~k in
+      let dk_naive = Check.Reference.risk_ratio_k_derivative ~b ~k in
       check_bool
         (Printf.sprintf "dR/dk agrees (%.17g vs %.17g)" dk dk_naive)
         true
         (Float.abs (dk -. dk_naive) <= 1e-12 *. (1.0 +. Float.abs dk_naive)))
+
+(* The retained [?pool]/[?shards] labels of the two vector constructors
+   are inert: any shard count on a 4-domain pool gives the plain call's
+   bits, and only a shard count below 1 is rejected. *)
+let check_dist name a b =
+  check_bits (name ^ ": support") (Core.Pfd_dist.support a)
+    (Core.Pfd_dist.support b);
+  check_bits (name ^ ": masses") (Core.Pfd_dist.masses a)
+    (Core.Pfd_dist.masses b)
+
+let check_rejects_zero_shards name f =
+  check_bool (name ^ ": ~shards:0 raises Invalid_argument") true
+    (match f () with _ -> false | exception Invalid_argument _ -> true)
 
 (* The ping-pong exact convolution claims full bit-identity with the
    legacy allocating pass: same float ops in the same order, only the
    buffer management and finalisation plumbing changed. *)
 let test_prop_exact_fast_vs_legacy () =
   Prop.check ~cases:40 "exact convolution: ping-pong = legacy, bitwise"
-    (Prop.universe ~max_faults:10 ())
-    (fun u ->
+    (Prop.pair (Prop.universe ~max_faults:10 ()) (Prop.int_range 1 8))
+    (fun (u, shards) ->
       let values = Core.Universe.qs u in
+      let pool = Lazy.force pool4 in
       let check_for name probs =
-        let fast = Core.Pfd_dist.exact_of_vectors ~shards:1 ~probs ~values () in
-        let legacy = Core.Pfd_dist.exact_of_vectors_naive ~probs ~values () in
-        check_bits (name ^ ": support") (Core.Pfd_dist.support legacy)
-          (Core.Pfd_dist.support fast);
-        check_bits (name ^ ": masses") (Core.Pfd_dist.masses legacy)
-          (Core.Pfd_dist.masses fast)
+        let fast = Core.Pfd_dist.exact_of_vectors ~probs ~values () in
+        let legacy = Check.Reference.exact_of_vectors ~probs ~values () in
+        check_dist name legacy fast;
+        check_dist (Printf.sprintf "%s, ~shards:%d" name shards) fast
+          (Core.Pfd_dist.exact_of_vectors ~pool ~shards ~probs ~values ());
+        check_rejects_zero_shards name (fun () ->
+            Core.Pfd_dist.exact_of_vectors ~shards:0 ~probs ~values ())
       in
       let ps = Core.Universe.ps u in
       check_for "single" ps;
@@ -485,15 +473,17 @@ let test_prop_exact_fast_vs_legacy () =
    to bit-identity. *)
 let test_prop_grid_fast_vs_legacy () =
   Prop.check ~cases:60 "grid convolution: blocks vs per-fault reference"
-    (Prop.pair (Prop.universe ~max_faults:10 ()) (Prop.int_range 32 512))
-    (fun (u, bins) ->
+    (Prop.triple (Prop.universe ~max_faults:10 ()) (Prop.int_range 32 512)
+       (Prop.int_range 1 8))
+    (fun (u, bins, shards) ->
       let probs = Core.Universe.ps u and values = Core.Universe.qs u in
-      let fast =
-        Core.Pfd_dist.grid_of_vectors ~shards:1 ~probs ~values ~bins ()
-      in
-      let legacy =
-        Core.Pfd_dist.grid_of_vectors_naive ~shards:1 ~probs ~values ~bins ()
-      in
+      let fast = Core.Pfd_dist.grid_of_vectors ~probs ~values ~bins () in
+      let legacy = Check.Reference.grid_of_vectors ~probs ~values ~bins () in
+      check_dist (Printf.sprintf "grid, ~shards:%d" shards) fast
+        (Core.Pfd_dist.grid_of_vectors ~pool:(Lazy.force pool4) ~shards ~probs
+           ~values ~bins ());
+      check_rejects_zero_shards "grid" (fun () ->
+          Core.Pfd_dist.grid_of_vectors ~shards:0 ~probs ~values ~bins ());
       (* replicate the kernel's shift rounding to decide which claim
          applies to this case *)
       let total = Kahan.sum_array values in
@@ -514,14 +504,8 @@ let test_prop_grid_fast_vs_legacy () =
         | a :: (b :: _ as rest) -> a < b && strictly_ascending rest
         | _ -> true
       in
-      if strictly_ascending active_shifts then begin
-        check_bits "support (unique ascending shifts)"
-          (Core.Pfd_dist.support legacy)
-          (Core.Pfd_dist.support fast);
-        check_bits "masses (unique ascending shifts)"
-          (Core.Pfd_dist.masses legacy)
-          (Core.Pfd_dist.masses fast)
-      end
+      if strictly_ascending active_shifts then
+        check_dist "unique ascending shifts" legacy fast
       else begin
         let close what a b =
           check_bool
@@ -884,8 +868,6 @@ let () =
             test_prop_montecarlo_invariance;
           Alcotest.test_case "campaign invariance" `Quick
             test_prop_campaign_invariance;
-          Alcotest.test_case "pfd_dist invariance" `Quick
-            test_prop_pfd_dist_invariance;
           Alcotest.test_case "gradient incremental vs naive" `Quick
             test_prop_gradient_incremental_vs_naive;
           Alcotest.test_case "exact convolution fast vs legacy" `Quick

@@ -494,6 +494,52 @@ let test_daemon_vs_assess () =
         [ 1; 2 ])
     [ 42; 271828 ]
 
+(* Run the CLI once with stdout and stderr captured together; returns
+   the exit code and the output. *)
+let run_cli args =
+  let out = Filename.temp_file "serve-cli" ".out" in
+  let rc =
+    Sys.command (Filename.quote_command cli_exe args ~stdout:out ~stderr:out)
+  in
+  let text = read_file out in
+  Sys.remove out;
+  (rc, text)
+
+let contains haystack needle =
+  let nl = String.length needle and hl = String.length haystack in
+  let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
+  go 0
+
+(* A bad path on the command line is a usage error (cmdliner's exit
+   124), never an uncaught exception (exit 125). *)
+let expect_usage_error args =
+  let what = String.concat " " args in
+  let rc, text = run_cli args in
+  check_int (what ^ ": exit code") 124 rc;
+  check_bool (what ^ ": no internal error") false (contains text "internal error")
+
+let missing = "/nonexistent-divrel-dir/x.jsonl"
+
+let test_cli_missing_script () =
+  expect_usage_error [ "assess"; missing ];
+  expect_usage_error [ "serve-client"; "--socket"; temp_socket (); missing ]
+
+(* The sinks are vetted before the computation starts: each case would
+   otherwise run the experiments (or the daemon selftest) first and only
+   then die writing the artefact. *)
+let test_cli_unwritable_sink () =
+  let runlog = Filename.temp_file "serve-cli" ".jsonl" in
+  List.iter expect_usage_error
+    [
+      [ "run"; "E01"; "--metrics"; missing ];
+      [ "run"; "E01"; "--trace"; missing ];
+      [ "run"; "E01"; "--log"; missing ];
+      [ "all"; "--metrics"; missing ];
+      [ "evidence"; "--metrics"; missing; runlog ];
+      [ "serve"; "--selftest"; "--metrics"; missing ];
+    ];
+  Sys.remove runlog
+
 (* ------------------------------------------------------------------ *)
 (* Soak                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -732,5 +778,12 @@ let () =
             test_slow_reader_pipeline;
           Alcotest.test_case "descriptor exhaustion pauses accept" `Quick
             test_fd_exhaustion;
+        ] );
+      ( "cli",
+        [
+          Alcotest.test_case "missing script is a usage error" `Quick
+            test_cli_missing_script;
+          Alcotest.test_case "unwritable sink fails before the run" `Quick
+            test_cli_unwritable_sink;
         ] );
     ]
