@@ -64,6 +64,7 @@ check:
 	dune build @adjudication-smoke
 	dune build @serve-smoke
 	dune build @examples-smoke
+	dune build @telemetry-smoke
 
 # Proven-in-use evidence pipeline, end to end: log a fleet campaign
 # (E26, seed 42) and stream the run log through the assessor with

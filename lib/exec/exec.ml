@@ -21,28 +21,22 @@ let set_default_shards n =
   if n < 1 then invalid_arg "Exec.set_default_shards: shards must be >= 1";
   default_shards_ref := n
 
-let shard_bounds ~range ~shards =
-  if shards < 1 then invalid_arg "Exec.shard_bounds: shards must be >= 1";
-  if range < 0 then invalid_arg "Exec.shard_bounds: negative range";
-  let base = range / shards and extra = range mod shards in
-  Array.init shards (fun k ->
-      let lo = (k * base) + min k extra in
-      let len = base + if k < extra then 1 else 0 in
-      (lo, len))
-
-let split_rngs rng ~shards =
-  if shards < 1 then invalid_arg "Exec.split_rngs: shards must be >= 1";
-  Array.init shards (fun k -> Numerics.Rng.split rng ~index:k)
-
 let map_shards ?pool ~shards ~f () =
   if shards < 1 then invalid_arg "Exec.map_shards: shards must be >= 1";
   let pool = match pool with Some p -> p | None -> Pool.default () in
   Pool.run pool ~n:shards (fun k -> Obs.Trace.with_shard k (fun () -> f k))
 
-let map_reduce ?pool ~shards ~f ~merge () =
-  let results = map_shards ?pool ~shards ~f () in
-  let acc = ref results.(0) in
-  for k = 1 to shards - 1 do
-    acc := merge !acc results.(k)
-  done;
-  !acc
+let map_slices ?pool ?shards rng ~range ~f =
+  let shards = match shards with Some s -> s | None -> default_shards () in
+  if shards < 1 then invalid_arg "Exec.map_slices: shards must be >= 1";
+  if range < 0 then invalid_arg "Exec.map_slices: negative range";
+  (* Substreams are split up front, on the calling domain, so the parent
+     advances by exactly [shards] draws whatever the pool does. The first
+     [range mod shards] slices take the extra element. *)
+  let rngs = Array.init shards (fun k -> Numerics.Rng.split rng ~index:k) in
+  let base = range / shards and extra = range mod shards in
+  map_shards ?pool ~shards
+    ~f:(fun k ->
+      f rngs.(k) ~lo:((k * base) + min k extra)
+        ~len:(base + if k < extra then 1 else 0))
+    ()

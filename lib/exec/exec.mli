@@ -1,9 +1,9 @@
-(** Deterministic sharded map-reduce over a {!Pool} of domains.
+(** Deterministic sharded execution over a {!Pool} of domains.
 
     Determinism contract: a parallel computation is split into a fixed
     number of [shards]; shard [k] derives its randomness from
     [Rng.split parent ~index:k] and its slice of the work from
-    {!shard_bounds}; results are merged in shard order. The output is a
+    {!map_slices}; results come back in shard order. The output is a
     pure function of [(seed, shards)] and is byte-identical for any
     domain count, including a 1-domain (fully sequential) pool. Changing
     [shards] changes outputs — deterministically — which is why the
@@ -19,29 +19,28 @@ val set_default_shards : int -> unit
 (** Override {!default_shards} (>= 1); wired to the [--shards] CLI
     flags. Changes downstream outputs deterministically. *)
 
-val shard_bounds : range:int -> shards:int -> (int * int) array
-(** [(lo, len)] per shard: contiguous, disjoint, covering [0, range);
-    lengths differ by at most one (the first [range mod shards] shards
-    take the extra element). Shards beyond [range] get [len = 0]. *)
-
-val split_rngs : Numerics.Rng.t -> shards:int -> Numerics.Rng.t array
-(** One independent substream per shard, derived with
-    [Rng.split ~index:k]. Advances the parent by exactly [shards]
-    draws. *)
-
 val map_shards :
   ?pool:Pool.t -> shards:int -> f:(int -> 'a) -> unit -> 'a array
 (** Run [f 0 .. f (shards-1)] on the pool (default: {!Pool.default}),
     returning results in shard order. Each shard runs under
     [Obs.Trace.with_shard k] so trace spans from parallel regions stay
-    well-nested per shard. *)
+    well-nested per shard. Raises [Invalid_argument] when
+    [shards < 1]. *)
 
-val map_reduce :
+val map_slices :
   ?pool:Pool.t ->
-  shards:int ->
-  f:(int -> 'a) ->
-  merge:('a -> 'a -> 'a) ->
-  unit ->
-  'a
-(** {!map_shards} followed by a left fold of [merge] in shard order:
-    [merge (... merge (merge r0 r1) r2 ...) r(shards-1)]. *)
+  ?shards:int ->
+  Numerics.Rng.t ->
+  range:int ->
+  f:(Numerics.Rng.t -> lo:int -> len:int -> 'a) ->
+  'a array
+(** [map_slices rng ~range ~f] splits [[0, range)] into [shards]
+    (default {!default_shards}) contiguous, disjoint slices whose
+    lengths differ by at most one (the first [range mod shards] take the
+    extra element; shards beyond [range] get [len = 0]), and runs
+    [f rng_k ~lo ~len] for shard [k] through {!map_shards}, results in
+    shard order. [rng_k] is [Rng.split rng ~index:k]; the parent
+    advances by exactly [shards] draws. The callback's randomness is its
+    argument, so nothing it computes depends on scheduling. The number
+    of shards used is [Array.length] of the result. Raises
+    [Invalid_argument] when [shards < 1] or [range < 0]. *)

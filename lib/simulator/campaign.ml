@@ -45,30 +45,21 @@ type mttf_estimate = {
 let estimate_mttf ?pool ?shards rng ~system ~missions ~max_demands =
   if missions <= 0 then
     invalid_arg "Campaign.estimate_mttf: missions must be positive";
-  let shards =
-    match shards with Some s -> s | None -> Exec.default_shards ()
-  in
-  if shards < 1 then invalid_arg "Campaign.estimate_mttf: shards must be >= 1";
   let span = Obs.Trace.enter "campaign.estimate_mttf" in
   (* Missions are independent: each shard drives its contiguous slice on
      its own substream, writing into the shared outcome array (disjoint
      slices). Per-mission spans open on the worker and are attributed to
      the owning shard's trace lane. *)
   let outcomes = Array.make missions Survived in
-  let child_rngs = Exec.split_rngs rng ~shards in
-  let bounds = Exec.shard_bounds ~range:missions ~shards in
   let shard_draws =
-    Exec.map_shards ?pool ~shards
-      ~f:(fun k ->
-        let lo, len = bounds.(k) in
-        let rng_k = child_rngs.(k) in
+    Exec.map_slices ?pool ?shards rng ~range:missions
+      ~f:(fun rng_k ~lo ~len ->
         for m = lo to lo + len - 1 do
           let mission_span = Obs.Trace.enter "campaign.mission" in
           outcomes.(m) <- time_to_first_failure rng_k ~system ~max_demands;
           Obs.Trace.leave mission_span
         done;
         Rng.draws rng_k)
-      ()
   in
   (* Join: replay the outcomes in mission order, so tallies, metrics, the
      running gauge and the run log are identical to a sequential pass
@@ -119,7 +110,7 @@ let estimate_mttf ?pool ?shards rng ~system ~missions ~max_demands =
       (if !failures = 0 then nan
        else float_of_int !failure_time /. float_of_int !failures);
     failure_rate = float_of_int !failures /. float_of_int !total_time;
-    shards;
+    shards = Array.length shard_draws;
     shard_draws;
   }
 
@@ -137,17 +128,10 @@ let simulate_mission_survival ?pool ?shards rng ~system ~mission_demands
     ~missions =
   if missions <= 0 then
     invalid_arg "Campaign.simulate_mission_survival: missions must be positive";
-  let shards =
-    match shards with Some s -> s | None -> Exec.default_shards ()
-  in
   let span = Obs.Trace.enter "campaign.simulate_mission_survival" in
-  let child_rngs = Exec.split_rngs rng ~shards in
-  let bounds = Exec.shard_bounds ~range:missions ~shards in
   let survived =
-    Exec.map_reduce ?pool ~shards
-      ~f:(fun k ->
-        let _, len = bounds.(k) in
-        let rng_k = child_rngs.(k) in
+    Exec.map_slices ?pool ?shards rng ~range:missions
+      ~f:(fun rng_k ~lo:_ ~len ->
         let survived = ref 0 in
         for _ = 1 to len do
           match
@@ -157,7 +141,7 @@ let simulate_mission_survival ?pool ?shards rng ~system ~mission_demands
           | Failed_at _ -> ()
         done;
         !survived)
-      ~merge:( + ) ()
+    |> Array.fold_left ( + ) 0
   in
   Obs.Metrics.add m_missions missions;
   let fraction = float_of_int survived /. float_of_int missions in

@@ -36,10 +36,12 @@ val estimate_mttf :
   max_demands:int ->
   mttf_estimate
 (** Replicated missions against a fixed system. Missions shard
-    deterministically (default {!Exec.default_shards} shards, each on its
-    own [Rng.split] substream); outcomes are replayed in mission order at
-    join, so the estimate, metrics and run log depend only on
-    (seed, shards), never on the pool size. *)
+    deterministically through {!Exec.map_slices} (default
+    {!Exec.default_shards} slices, each on its own [Rng.split]
+    substream); outcomes are replayed in mission order at join, so the
+    estimate, metrics and run log depend only on (seed, shards), never
+    on the pool size. Raises [Invalid_argument] when [missions <= 0] or
+    [shards < 1]. *)
 
 val theoretical_mttf : pfd:float -> float
 (** 1/PFD (demands), infinite for a perfect system. *)
@@ -56,7 +58,8 @@ val simulate_mission_survival :
   missions:int ->
   float
 (** Empirical counterpart of {!mission_survival_probability}; sharded
-    like {!estimate_mttf}. *)
+    like {!estimate_mttf}, per-shard survivor counts summed in shard
+    order. *)
 
 type architecture_report = {
   label : string;

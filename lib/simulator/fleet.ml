@@ -21,34 +21,22 @@ type t = { records : plant_record array }
 (* Sharding convention (see Exec): [shards = 1] is the legacy sequential
    path — the parent RNG is threaded through the plants in plant order,
    byte-identical to the pre-sharding implementation. [shards >= 2]
-   splits one substream per shard; shard k handles a contiguous slice of
-   the plants (Exec.shard_bounds) in plant order on its own substream,
-   and slices concatenate back in plant order, so the result is a pure
-   function of (seed, shards) and byte-identical for any domain count. *)
-
-let resolve_shards ~what = function
-  | Some s ->
-      if s < 1 then invalid_arg ("Fleet." ^ what ^ ": shards must be >= 1");
-      s
-  | None -> Exec.default_shards ()
+   gives each shard a contiguous slice of the plants (Exec.map_slices),
+   run in plant order on the shard's own substream; slices concatenate
+   back in plant order, so the result is a pure function of
+   (seed, shards) and byte-identical for any domain count. *)
+let per_plant ?pool ?shards rng ~plants f =
+  match Option.value shards ~default:(Exec.default_shards ()) with
+  | 1 -> Array.init plants (fun i -> f rng i)
+  | shards ->
+      Exec.map_slices ?pool ~shards rng ~range:plants
+        ~f:(fun rng_k ~lo ~len -> Array.init len (fun i -> f rng_k (lo + i)))
+      |> Array.to_list |> Array.concat
 
 let deploy ?pool ?shards ~what rng ~plants make =
   if plants <= 0 then
     invalid_arg ("Fleet." ^ what ^ ": plants must be positive");
-  let shards = resolve_shards ~what shards in
-  if shards = 1 then Array.init plants (fun _ -> make rng)
-  else
-    let child_rngs = Exec.split_rngs rng ~shards in
-    let bounds = Exec.shard_bounds ~range:plants ~shards in
-    let parts =
-      Exec.map_shards ?pool ~shards
-        ~f:(fun k ->
-          let _, len = bounds.(k) in
-          let rng_k = child_rngs.(k) in
-          Array.init len (fun _ -> make rng_k))
-        ()
-    in
-    Array.concat (Array.to_list parts)
+  per_plant ?pool ?shards rng ~plants (fun rng _ -> make rng)
 
 let deploy_pairs ?pool ?shards rng space ~plants =
   deploy ?pool ?shards ~what:"deploy_pairs" rng ~plants (fun rng ->
@@ -75,35 +63,26 @@ let deploy_adjudicated ?pool ?shards ?detection ?(adjudicator = Adjudicator.one_
 let observe ?pool ?shards rng systems ~demands_per_plant =
   if demands_per_plant <= 0 then
     invalid_arg "Fleet.observe: demands_per_plant must be positive";
-  let shards = resolve_shards ~what:"observe" shards in
   let span = Obs.Trace.enter "fleet.observe" in
-  let run_plant rng system =
-    let stats = Runner.run rng ~system ~demand_count:demands_per_plant in
-    {
-      system_pfd = Protection.true_pfd system;
-      demands = demands_per_plant;
-      failures = stats.Runner.system_failures;
-    }
+  let plants =
+    per_plant ?pool ?shards rng ~plants:(Array.length systems) (fun rng i ->
+        let system = systems.(i) in
+        let stats, emit =
+          Runner.run_deferred rng ~system ~demand_count:demands_per_plant
+        in
+        ( {
+            system_pfd = Protection.true_pfd system;
+            demands = demands_per_plant;
+            failures = stats.Runner.system_failures;
+          },
+          emit ))
   in
-  let records =
-    if shards = 1 then Array.map (fun system -> run_plant rng system) systems
-    else
-      let plants = Array.length systems in
-      let child_rngs = Exec.split_rngs rng ~shards in
-      let bounds = Exec.shard_bounds ~range:plants ~shards in
-      let parts =
-        Exec.map_shards ?pool ~shards
-          ~f:(fun k ->
-            let lo, len = bounds.(k) in
-            let rng_k = child_rngs.(k) in
-            Array.init len (fun i -> run_plant rng_k systems.(lo + i)))
-          ()
-      in
-      Array.concat (Array.to_list parts)
-  in
-  (* Join: replay the per-plant records into the instruments in plant
-     order, so metrics and the run log are independent of the domain
-     count (single-writer, calling domain only). *)
+  (* Join: replay the plants' runner telemetry, then their records, into
+     the instruments in plant order, so metrics and the run log are
+     independent of the domain count (single-writer, calling domain
+     only). *)
+  Array.iter (fun (_, emit) -> emit ()) plants;
+  let records = Array.map fst plants in
   Array.iter
     (fun record ->
       Obs.Metrics.incr m_plants;
@@ -131,7 +110,8 @@ let observe ?pool ?shards rng systems ~demands_per_plant =
         ("demands_per_plant", Obs.Json.Int demands_per_plant);
         ("failures", Obs.Json.Int
            (Array.fold_left (fun acc r -> acc + r.failures) 0 records));
-        ("shards", Obs.Json.Int shards);
+        ("shards", Obs.Json.Int
+           (Option.value shards ~default:(Exec.default_shards ())));
       ]
   end;
   Obs.Trace.leave span;

@@ -28,7 +28,7 @@ val deploy_pairs :
   Protection.t array
 (** Each plant gets a fresh, independently developed 1-out-of-2 system.
 
-    Sharded over [Exec.map_shards]: with [shards >= 2] (the default
+    Sharded over [Exec.map_slices]: with [shards >= 2] (the default
     shard count is [Exec.default_shards ()]), shard [k] develops a
     contiguous slice of the plants on its own [Rng.split] substream and
     the slices concatenate in plant order, so the fleet is a pure
@@ -76,9 +76,11 @@ val observe :
 (** Run every plant through its own operational campaign. Same sharding
     contract as {!deploy_pairs}: shard [k] runs its plant slice on its
     own substream (each plant's demands drawn in blocks — see
-    {!Runner.run}) and records merge in plant order; telemetry is
-    replayed at join in plant order on the calling domain, so metrics
-    and the run log are independent of the domain count. *)
+    {!Runner.run}) and records merge in plant order; telemetry — each
+    plant's {!Runner.run_deferred} thunk, then the fleet's own
+    instruments and events — is replayed at join in plant order on the
+    calling domain, so metrics and the run log are independent of the
+    domain count. *)
 
 val size : t -> int
 val records : t -> plant_record array

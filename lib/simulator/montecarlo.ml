@@ -29,10 +29,6 @@ type estimate = {
 let estimate ?pool ?shards rng universe ~replications =
   if replications <= 0 then
     invalid_arg "Montecarlo.estimate: replications must be positive";
-  let shards =
-    match shards with Some s -> s | None -> Exec.default_shards ()
-  in
-  if shards < 1 then invalid_arg "Montecarlo.estimate: shards must be >= 1";
   let span = Obs.Trace.enter "montecarlo.estimate" in
   let draws0 = Rng.draws rng in
   let theta1_samples = Array.make replications 0.0 in
@@ -40,13 +36,9 @@ let estimate ?pool ?shards rng universe ~replications =
   (* Deterministic sharding: each shard owns a contiguous slice of the
      sample arrays and an independent substream, so the result depends on
      (seed, shards) only — never on the pool's domain count. *)
-  let child_rngs = Exec.split_rngs rng ~shards in
-  let bounds = Exec.shard_bounds ~range:replications ~shards in
   let per_shard =
-    Exec.map_shards ?pool ~shards
-      ~f:(fun k ->
-        let lo, len = bounds.(k) in
-        let rng_k = child_rngs.(k) in
+    Exec.map_slices ?pool ?shards rng ~range:replications
+      ~f:(fun rng_k ~lo ~len ->
         let n1 = ref 0 and n2 = ref 0 in
         for r = lo to lo + len - 1 do
           let pfd_a, _pfd_b, pfd_pair =
@@ -58,8 +50,8 @@ let estimate ?pool ?shards rng universe ~replications =
           if pfd_pair > 0.0 then incr n2
         done;
         (!n1, !n2, Rng.draws rng_k))
-      ()
   in
+  let shards = Array.length per_shard in
   (* Join: fold shard tallies in shard order and feed the single-writer
      instruments from the calling domain. *)
   let n1_pos = ref 0 and n2_pos = ref 0 in
@@ -117,16 +109,13 @@ type population = {
   pair_summary : Stats.summary;
 }
 
-let version_population ?pool ?shards rng space ~count =
+let version_population ?pool rng space ~count =
   if count < 2 then
     invalid_arg "Montecarlo.version_population: need at least two versions";
-  let shards =
-    match shards with Some s -> s | None -> Exec.default_shards ()
-  in
   let span = Obs.Trace.enter "montecarlo.version_population" in
   (* Development consumes the RNG and stays sequential; evaluating the
-     count*(count-1)/2 unordered pairs is pure, so it shards over a
-     flattened (i, j) index table into a preallocated result array. *)
+     count*(count-1)/2 unordered pairs is pure, so it runs one pool task
+     per entry of a flattened (i, j) index table. *)
   let versions = Devteam.develop_many rng space ~count in
   let version_pfds = Array.map Demandspace.Version.pfd versions in
   let n_pairs = count * (count - 1) / 2 in
@@ -139,18 +128,12 @@ let version_population ?pool ?shards rng space ~count =
       incr idx
     done
   done;
-  let pair_pfds = Array.make n_pairs 0.0 in
-  let bounds = Exec.shard_bounds ~range:n_pairs ~shards in
-  ignore
-    (Exec.map_shards ?pool ~shards
-       ~f:(fun k ->
-         let lo, len = bounds.(k) in
-         for r = lo to lo + len - 1 do
-           pair_pfds.(r) <-
-             Demandspace.Version.pair_pfd versions.(pair_i.(r))
-               versions.(pair_j.(r))
-         done)
-       ());
+  let pair_pfds =
+    Exec.map_shards ?pool ~shards:n_pairs
+      ~f:(fun r ->
+        Demandspace.Version.pair_pfd versions.(pair_i.(r)) versions.(pair_j.(r)))
+      ()
+  in
   let pop =
     {
       version_pfds;
@@ -185,31 +168,35 @@ let empirical_system_pfd ?pool ?shards rng space ~replications
   (* Full-stack estimate: develop a pair, build the Fig. 1 system, run it
      on operational demands, and average the observed failure rates. Each
      shard runs its slice of the replications on its own substream into a
-     local Welford accumulator; accumulators merge in shard order. *)
-  let shards =
-    match shards with Some s -> s | None -> Exec.default_shards ()
-  in
+     local Welford accumulator; accumulators merge in shard order, and the
+     runs' telemetry is replayed at join in replication order. *)
   let span = Obs.Trace.enter "montecarlo.empirical_system_pfd" in
-  let child_rngs = Exec.split_rngs rng ~shards in
-  let bounds = Exec.shard_bounds ~range:replications ~shards in
-  let acc =
-    Exec.map_reduce ?pool ~shards
-      ~f:(fun k ->
-        let _, len = bounds.(k) in
-        let rng_k = child_rngs.(k) in
+  let per_shard =
+    Exec.map_slices ?pool ?shards rng ~range:replications
+      ~f:(fun rng_k ~lo:_ ~len ->
         let acc = Welford.create () in
-        for _ = 1 to len do
-          let va, vb = Devteam.develop_pair rng_k space in
-          let system =
-            Protection.one_out_of_two
-              (Channel.create ~name:"A" va)
-              (Channel.create ~name:"B" vb)
-          in
-          let stats = Runner.run rng_k ~system ~demand_count:demands_per_system in
-          Welford.add acc stats.Runner.estimated_pfd
-        done;
-        acc)
-      ~merge:Welford.merge ()
+        let emits =
+          Array.init len (fun _ ->
+              let va, vb = Devteam.develop_pair rng_k space in
+              let system =
+                Protection.one_out_of_two
+                  (Channel.create ~name:"A" va)
+                  (Channel.create ~name:"B" vb)
+              in
+              let stats, emit =
+                Runner.run_deferred rng_k ~system
+                  ~demand_count:demands_per_system
+              in
+              Welford.add acc stats.Runner.estimated_pfd;
+              emit)
+        in
+        (acc, emits))
+  in
+  Array.iter (fun (_, emits) -> Array.iter (fun emit -> emit ()) emits) per_shard;
+  let acc =
+    Array.fold_left
+      (fun acc (shard_acc, _) -> Welford.merge acc shard_acc)
+      (Welford.create ()) per_shard
   in
   Obs.Trace.leave span;
   Welford.mean acc

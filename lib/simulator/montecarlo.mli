@@ -27,9 +27,11 @@ val estimate :
   replications:int ->
   estimate
 (** Sample independent development pairs from the universe. The work is
-    split into [shards] (default {!Exec.default_shards}) deterministic
-    slices, each on its own [Rng.split] substream: the result is a pure
-    function of (seed, shards) and is byte-identical for any pool size. *)
+    split by {!Exec.map_slices} into [shards] (default
+    {!Exec.default_shards}) deterministic slices, each on its own
+    [Rng.split] substream: the result is a pure function of
+    (seed, shards) and is byte-identical for any pool size. Raises
+    [Invalid_argument] when [replications <= 0] or [shards < 1]. *)
 
 val quantile_theta1 : estimate -> float -> float
 val quantile_theta2 : estimate -> float -> float
@@ -43,7 +45,6 @@ type population = {
 
 val version_population :
   ?pool:Exec.Pool.t ->
-  ?shards:int ->
   Numerics.Rng.t ->
   Demandspace.Space.t ->
   count:int ->
@@ -51,7 +52,8 @@ val version_population :
 (** Develop [count] concrete versions over a demand space and evaluate every
     unordered pair as a 1-out-of-2 system (true set-intersection PFDs, no
     non-overlap assumption). Development is sequential on [rng]; the pure
-    pairwise evaluation shards over a flattened pair-index table. *)
+    pairwise evaluation runs one pool task per pair, so the result does
+    not depend on the pool or on any shard count. *)
 
 val knight_leveson_shape : population -> float * float
 (** [(mean_ratio, std_ratio)] of pair vs version PFD; the paper's
@@ -68,4 +70,6 @@ val empirical_system_pfd :
 (** Average observed failure rate over full develop-and-operate
     replications of the Fig. 1 system. Sharded like {!estimate}: each
     shard accumulates into a local Welford state, merged in shard
-    order. *)
+    order; each replication's {!Runner} telemetry is replayed at join in
+    replication order, so metrics and the run log do not depend on the
+    pool size. *)

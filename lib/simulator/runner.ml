@@ -28,7 +28,10 @@ type stats = {
    pre-hoisted arrays. *)
 let sample_block = 1024
 
-let run ?(log = false) rng ~system ~demand_count =
+(* The run proper, with its telemetry returned as a thunk rather than
+   written: the counters, gauge, histogram and run-log event are the
+   caller's to emit, so a shard can hand them back for replay at join. *)
+let simulate ~log rng ~system ~demand_count =
   if demand_count <= 0 then invalid_arg "Runner.run: demand_count must be positive";
   let span = Obs.Trace.enter "runner.run" in
   let draws0 = Rng.draws rng in
@@ -116,51 +119,65 @@ let run ?(log = false) rng ~system ~demand_count =
   let estimated_pfd =
     float_of_int !system_failures /. float_of_int demand_count
   in
-  Obs.Metrics.incr m_runs;
-  Obs.Metrics.add m_demands demand_count;
-  Obs.Metrics.add m_system_failures !system_failures;
-  Obs.Metrics.add m_channel_failures (Array.fold_left ( + ) 0 channel_failures);
-  Obs.Metrics.add m_coincident !coincident;
-  Obs.Metrics.set g_estimated_pfd estimated_pfd;
-  Obs.Metrics.observe h_estimated_pfd estimated_pfd;
-  if Obs.Runlog.active () then begin
-    (* Sparse empirical demand histogram, ascending id: the pairs
-       [[id, count], ...] for every demand id this run actually hit.
-       lib/evidence compares the accumulated histogram against the
-       declared operational profile (chi-square / KL drift). *)
-    let demand_hist =
-      let pairs = ref [] in
-      for id = Array.length hist - 1 downto 0 do
-        if hist.(id) > 0 then
-          pairs :=
-            Obs.Json.List [ Obs.Json.Int id; Obs.Json.Int hist.(id) ]
-            :: !pairs
-      done;
-      Obs.Json.List !pairs
-    in
-    Obs.Runlog.record ~kind:"runner.run"
-      [
-        ("demands", Obs.Json.Int demand_count);
-        ("system_failures", Obs.Json.Int !system_failures);
-        ("coincident_failures", Obs.Json.Int !coincident);
-        ("estimated_pfd", Obs.Json.Float estimated_pfd);
-        (* Draws made by THIS run — the delta across the call, not the
-           generator's lifetime total (shared generators run many runs). *)
-        ("rng_draws", Obs.Json.Int (Rng.draws rng - draws0));
-        ("demand_hist", demand_hist);
-      ]
-  end;
+  (* Draws made by THIS run — the delta across the call, not the
+     generator's lifetime total (shared generators run many runs). *)
+  let rng_draws = Rng.draws rng - draws0 in
+  let system_failures = !system_failures and coincident = !coincident in
+  let emit () =
+    Obs.Metrics.incr m_runs;
+    Obs.Metrics.add m_demands demand_count;
+    Obs.Metrics.add m_system_failures system_failures;
+    Obs.Metrics.add m_channel_failures
+      (Array.fold_left ( + ) 0 channel_failures);
+    Obs.Metrics.add m_coincident coincident;
+    Obs.Metrics.set g_estimated_pfd estimated_pfd;
+    Obs.Metrics.observe h_estimated_pfd estimated_pfd;
+    if Obs.Runlog.active () then begin
+      (* Sparse empirical demand histogram, ascending id: the pairs
+         [[id, count], ...] for every demand id this run actually hit.
+         lib/evidence compares the accumulated histogram against the
+         declared operational profile (chi-square / KL drift). *)
+      let demand_hist =
+        let pairs = ref [] in
+        for id = Array.length hist - 1 downto 0 do
+          if hist.(id) > 0 then
+            pairs :=
+              Obs.Json.List [ Obs.Json.Int id; Obs.Json.Int hist.(id) ]
+              :: !pairs
+        done;
+        Obs.Json.List !pairs
+      in
+      Obs.Runlog.record ~kind:"runner.run"
+        [
+          ("demands", Obs.Json.Int demand_count);
+          ("system_failures", Obs.Json.Int system_failures);
+          ("coincident_failures", Obs.Json.Int coincident);
+          ("estimated_pfd", Obs.Json.Float estimated_pfd);
+          ("rng_draws", Obs.Json.Int rng_draws);
+          ("demand_hist", demand_hist);
+        ]
+    end
+  in
   Obs.Trace.leave span;
-  {
-    demands = demand_count;
-    system_failures = !system_failures;
-    system_abstentions = !system_abstentions;
-    channel_failures;
-    coincident_failures = !coincident;
-    estimated_pfd;
-    pfd_ci =
-      Stats.proportion_ci ~successes:!system_failures ~trials:demand_count ();
-  }
+  ( {
+      demands = demand_count;
+      system_failures;
+      system_abstentions = !system_abstentions;
+      channel_failures;
+      coincident_failures = coincident;
+      estimated_pfd;
+      pfd_ci =
+        Stats.proportion_ci ~successes:system_failures ~trials:demand_count ();
+    },
+    emit )
+
+let run ?(log = false) rng ~system ~demand_count =
+  let stats, emit = simulate ~log rng ~system ~demand_count in
+  emit ();
+  stats
+
+let run_deferred rng ~system ~demand_count =
+  simulate ~log:false rng ~system ~demand_count
 
 let channel_pfd_estimates stats =
   Array.map

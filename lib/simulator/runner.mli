@@ -28,6 +28,17 @@ val run :
 (** Run the system on [demand_count] demands drawn from the space's
     operational profile. [log] emits a debug line per system failure. *)
 
+val run_deferred :
+  Numerics.Rng.t -> system:Protection.t -> demand_count:int ->
+  stats * (unit -> unit)
+(** {!run} with its telemetry held back: the same stats and RNG draws,
+    plus a thunk that records the run's counters, the
+    [runner.last_estimated_pfd] gauge, the [runner.estimated_pfd]
+    histogram and the [runner.run] event exactly as {!run} would have.
+    For shard callbacks: call the thunks at join, in plant or
+    replication order, so the run log and metrics do not depend on the
+    domain count. *)
+
 val channel_pfd_estimates : stats -> float array
 (** Empirical per-channel PFDs. *)
 

@@ -39,11 +39,17 @@ let system seed =
     (Simulator.Channel.create ~name:"A" va)
     (Simulator.Channel.create ~name:"B" vb)
 
-(* ---- shard_bounds ---- *)
+(* ---- map_slices: slices ---- *)
 
-let test_shard_bounds () =
+(* The [(lo, len)] each shard's callback receives, in shard order. *)
+let slices ~range ~shards =
+  Exec.map_slices ~pool:(Lazy.force pool4) ~shards
+    (Numerics.Rng.create ~seed:1) ~range
+    ~f:(fun _rng ~lo ~len -> (lo, len))
+
+let test_slices () =
   let check_cover ~range ~shards =
-    let b = Exec.shard_bounds ~range ~shards in
+    let b = slices ~range ~shards in
     check_int "one entry per shard" shards (Array.length b);
     let seen = Array.make range 0 in
     Array.iter
@@ -65,26 +71,38 @@ let test_shard_bounds () =
   check_cover ~range:16 ~shards:16;
   check_cover ~range:1 ~shards:3;
   check_cover ~range:1000 ~shards:7;
+  check_cover ~range:0 ~shards:4;
   (* more shards than work: trailing shards are empty, coverage holds *)
-  let b = Exec.shard_bounds ~range:2 ~shards:5 in
+  let b = slices ~range:2 ~shards:5 in
   check_int "empty tail shards" 3
-    (Array.fold_left (fun acc (_, len) -> if len = 0 then acc + 1 else acc) 0 b)
+    (Array.fold_left (fun acc (_, len) -> if len = 0 then acc + 1 else acc) 0 b);
+  Alcotest.check_raises "shards < 1 rejected"
+    (Invalid_argument "Exec.map_slices: shards must be >= 1") (fun () ->
+      ignore (slices ~range:4 ~shards:0));
+  Alcotest.check_raises "negative range rejected"
+    (Invalid_argument "Exec.map_slices: negative range") (fun () ->
+      ignore (slices ~range:(-1) ~shards:2))
 
-(* ---- split_rngs ---- *)
+(* ---- map_slices: substreams ---- *)
 
-let test_split_rngs () =
+let test_substreams () =
+  let draw_some r = Array.init 16 (fun _ -> Numerics.Rng.float r) in
   let parent = Numerics.Rng.create ~seed:99 in
   let before = Numerics.Rng.draws parent in
-  let subs = Exec.split_rngs parent ~shards:8 in
-  check_int "parent advances one draw per split" 8
+  let a =
+    Exec.map_slices ~pool:(Lazy.force pool4) ~shards:8 parent ~range:3
+      ~f:(fun rng ~lo:_ ~len:_ -> draw_some rng)
+  in
+  check_int "parent advances one draw per shard" 8
     (Numerics.Rng.draws parent - before);
-  (* substreams are reproducible and pairwise distinct *)
+  (* shard k's substream is the parent's (k+1)-th split, Rng.split ~index:k *)
   let parent' = Numerics.Rng.create ~seed:99 in
-  let subs' = Exec.split_rngs parent' ~shards:8 in
-  let draw_some r = Array.init 16 (fun _ -> Numerics.Rng.float r) in
-  let a = Array.map draw_some subs and b = Array.map draw_some subs' in
   Array.iteri
-    (fun k ak -> check_bits (Printf.sprintf "substream %d reproducible" k) ak b.(k))
+    (fun k ak ->
+      check_bits
+        (Printf.sprintf "substream %d = Rng.split ~index:%d" k k)
+        (draw_some (Numerics.Rng.split parent' ~index:k))
+        ak)
     a;
   for i = 0 to 6 do
     check_bool
@@ -189,7 +207,7 @@ let test_survival_identical () =
 let test_population_identical () =
   let run pool =
     let rng = Numerics.Rng.create ~seed:17 in
-    Simulator.Montecarlo.version_population ~pool ~shards:4 rng (space 17)
+    Simulator.Montecarlo.version_population ~pool rng (space 17)
       ~count:12
   in
   let a = run (Lazy.force pool1) and b = run (Lazy.force pool4) in
@@ -230,8 +248,8 @@ let () =
     [
       ( "mechanics",
         [
-          Alcotest.test_case "shard_bounds" `Quick test_shard_bounds;
-          Alcotest.test_case "split_rngs" `Quick test_split_rngs;
+          Alcotest.test_case "map_slices slices" `Quick test_slices;
+          Alcotest.test_case "map_slices substreams" `Quick test_substreams;
           Alcotest.test_case "pool run" `Quick test_pool_run;
           Alcotest.test_case "pool exceptions" `Quick test_pool_exception;
         ] );

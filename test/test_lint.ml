@@ -209,11 +209,14 @@ let test_rng_discipline () =
   let r10 =
     List.filter (fun f -> f.E.rule = E.Rng_discipline) r.A.res_findings
   in
-  check_int "two undisciplined draws" 2 (List.length r10);
+  check_int "three undisciplined draws" 3 (List.length r10);
   Alcotest.(check bool) "module-level stream draw flagged at its site" true
     (List.exists (fun f -> in_file "rng_bad.ml" f && f.E.line = 7) r10);
   Alcotest.(check bool) "captured parent stream flagged" true
     (List.exists (fun f -> in_file "rng_bad.ml" f && f.E.line = 13) r10);
+  Alcotest.(check bool) "parent draw inside a map_slices callback flagged"
+    true
+    (List.exists (fun f -> in_file "slices_bad.ml" f && f.E.line = 6) r10);
   let good = A.analyze_paths [ Filename.concat project_dir "rng_good.ml" ] in
   check_int "split substreams pass" 0 (List.length good.A.res_findings)
 
@@ -224,20 +227,28 @@ let test_nondet_merge () =
   let r11 =
     List.filter (fun f -> f.E.rule = E.Nondet_merge) r.A.res_findings
   in
-  check_int "two nondeterministic merges" 2 (List.length r11);
+  check_int "three nondeterministic merges" 3 (List.length r11);
   Alcotest.(check bool) "completion-order accumulator flagged" true
     (List.exists (fun f -> in_file "merge_bad.ml" f && f.E.line = 5) r11);
   Alcotest.(check bool) "hash-order merge flagged" true
     (List.exists (fun f -> in_file "merge_bad.ml" f && f.E.line = 13) r11);
+  Alcotest.(check bool) "accumulator inside a map_slices callback flagged"
+    true
+    (List.exists (fun f -> in_file "slices_bad.ml" f && f.E.line = 12) r11);
   let good = A.analyze_paths [ Filename.concat project_dir "merge_good.ml" ] in
   check_int "index-order merge and slice writes pass" 0
-    (List.length good.A.res_findings)
+    (List.length good.A.res_findings);
+  let slices =
+    A.analyze_paths [ Filename.concat project_dir "slices_good.ml" ]
+  in
+  check_int "map_slices substream draws and per-slice values pass" 0
+    (List.length slices.A.res_findings)
 
 (* ---- project analysis: suppressions and stats ---- *)
 
 let test_project_suppressions () =
   let r = A.analyze_paths [ project_dir ] in
-  check_int "seven findings survive over the corpus" 7
+  check_int "nine findings survive over the corpus" 9
     (List.length r.A.res_findings);
   let dropped rule name =
     List.exists
@@ -256,7 +267,7 @@ let test_project_suppressions () =
 
 let test_project_stats () =
   let r = A.analyze_paths [ project_dir ] in
-  check_int "six corpus files scanned" 6 r.A.res_stats.A.st_files;
+  check_int "eight corpus files scanned" 8 r.A.res_stats.A.st_files;
   Alcotest.(check bool) "functions harvested" true
     (r.A.res_stats.A.st_functions > 20);
   Alcotest.(check bool) "shard-reachable functions counted" true
@@ -408,6 +419,7 @@ let test_exit_codes () =
          "--project";
          Filename.concat project_dir "rng_good.ml";
          Filename.concat project_dir "merge_good.ml";
+         Filename.concat project_dir "slices_good.ml";
        ])
 
 let () =

@@ -73,16 +73,35 @@ let reference_run rng ~system ~demand_count =
   done;
   (!system_failures, !coincident, channel_failures)
 
-(* The pre-sharding fleet: develop the plants in order on the parent
-   RNG, then run each through the reference runner in order. *)
-let reference_pairs_fleet rng space ~plants ~demands_per_plant =
-  let systems =
-    Array.init plants (fun _ ->
+(* The fleet shapes the properties deploy, each with the pre-sharding
+   way of building one plant on a given RNG: the paper's 1-out-of-2
+   pairs, and 2-out-of-3 voted plants through [deploy_adjudicated]. *)
+let two_out_of_three = Simulator.Adjudicator.m_out_of_n ~required:2
+
+let fleet_shapes =
+  [
+    ( "pairs",
+      (fun ?pool ~shards rng space ~plants ->
+        Simulator.Fleet.deploy_pairs ?pool ~shards rng space ~plants),
+      fun rng space ->
         let va, vb = Simulator.Devteam.develop_pair rng space in
         Simulator.Protection.one_out_of_two
           (Simulator.Channel.create ~name:"A" va)
-          (Simulator.Channel.create ~name:"B" vb))
-  in
+          (Simulator.Channel.create ~name:"B" vb) );
+    ( "2oo3 adjudicated",
+      (fun ?pool ~shards rng space ~plants ->
+        Simulator.Fleet.deploy_adjudicated ?pool ~shards
+          ~adjudicator:two_out_of_three rng space ~plants ~channels:3),
+      fun rng space ->
+        Simulator.Protection.create ~adjudicator:two_out_of_three
+          (Array.to_list (Simulator.Devteam.develop_channels rng space ~count:3))
+    );
+  ]
+
+(* The pre-sharding fleet: develop the plants in order on the parent
+   RNG, then run each through the reference runner in order. *)
+let reference_fleet ~develop rng space ~plants ~demands_per_plant =
+  let systems = Array.init plants (fun _ -> develop rng space) in
   Array.map
     (fun system ->
       let failures, _, _ =
@@ -193,27 +212,76 @@ let test_golden_runner_voted () =
     s.Simulator.Runner.channel_failures;
   check_int "draws" 4000 (Rng.draws rng)
 
+(* Run [f] with metrics enabled (from zero) and an in-memory run log
+   installed; returns its result, the run-log events rendered without
+   their [t_ns] timestamps, and the metrics snapshot. *)
+let with_telemetry f =
+  let log = Obs.Runlog.create () in
+  Obs.Runlog.set_sink (Some log);
+  Obs.Metrics.reset_values ();
+  Obs.Metrics.set_enabled true;
+  let result =
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.Metrics.set_enabled false;
+        Obs.Runlog.set_sink None)
+      f
+  in
+  let untimed = function
+    | Obs.Json.Obj fields ->
+        Obs.Json.Obj (List.filter (fun (k, _) -> k <> "t_ns") fields)
+    | event -> event
+  in
+  ( result,
+    List.map (fun e -> Obs.Json.render (untimed e)) (Obs.Runlog.events log),
+    Obs.Metrics.snapshot () )
+
+let histogram_sum snapshot name =
+  let histograms =
+    Option.bind (Obs.Json.member "histograms" snapshot) Obs.Json.to_list
+  in
+  let named h = Obs.Json.member "name" h = Some (Obs.Json.String name) in
+  match List.find_opt named (Option.value histograms ~default:[]) with
+  | Some h -> Option.bind (Obs.Json.member "sum" h) Obs.Json.to_float
+  | None -> None
+
 (* Example of the headline acceptance criterion: one fleet, default
    shard count, observed on a 1-domain and a 4-domain pool — every
-   record byte-identical. *)
+   record, every run-log event (timestamps aside) and every metric
+   byte-identical. The plants' runner telemetry is the part produced on
+   worker domains, so it is what a pool-order leak would scramble. *)
 let test_fleet_domain_identity_example () =
   let space = golden_space () in
   let observe pool =
-    let rng = Rng.create ~seed:2026 in
-    let systems =
-      Simulator.Fleet.deploy_pairs ~pool ~shards:16 rng space ~plants:23
-    in
-    let fleet =
-      Simulator.Fleet.observe ~pool ~shards:16 rng systems
-        ~demands_per_plant:500
-    in
-    (fleet_signature fleet, Rng.draws rng)
+    with_telemetry (fun () ->
+        let rng = Rng.create ~seed:2026 in
+        let systems =
+          Simulator.Fleet.deploy_pairs ~pool ~shards:16 rng space ~plants:23
+        in
+        let fleet =
+          Simulator.Fleet.observe ~pool ~shards:16 rng systems
+            ~demands_per_plant:500
+        in
+        (fleet_signature fleet, Rng.draws rng))
   in
-  let sig1, draws1 = observe (Lazy.force pool1) in
-  let sig4, draws4 = observe (Lazy.force pool4) in
+  let (sig1, draws1), events1, metrics1 = observe (Lazy.force pool1) in
+  let (sig4, draws4), events4, metrics4 = observe (Lazy.force pool4) in
   Alcotest.(check (array (pair int int64)))
     "fleet records: 4 domains = 1 domain" sig1 sig4;
-  check_int "parent draws: 4 domains = 1 domain" draws1 draws4
+  check_int "parent draws: 4 domains = 1 domain" draws1 draws4;
+  check_int "23 runner.run + 23 fleet.plant + 1 fleet.observe events" 47
+    (List.length events1);
+  Alcotest.(check (list string))
+    "run log (t_ns stripped): 4 domains = 1 domain" events1 events4;
+  Alcotest.(check (option int64))
+    "runner.estimated_pfd sum bits: 4 domains = 1 domain"
+    (Option.map Int64.bits_of_float
+       (histogram_sum metrics1 "runner.estimated_pfd"))
+    (Option.map Int64.bits_of_float
+       (histogram_sum metrics4 "runner.estimated_pfd"));
+  Alcotest.(check string)
+    "metrics snapshot: 4 domains = 1 domain"
+    (Obs.Json.render metrics1) (Obs.Json.render metrics4)
 
 (* ---- randomized properties ---- *)
 
@@ -228,27 +296,32 @@ let fleet_case =
 (* The headline property (>= 100 cases): the whole deploy-and-observe
    pipeline is a pure function of (seed, shards) — pool size never
    matters — and the parallel run consumes exactly as many global RNG
-   draws as the 1-domain run. *)
+   draws as the 1-domain run, for every fleet shape. *)
 let test_prop_fleet_domain_invariance () =
   Prop.check ~cases:100 "fleet pipeline is domain-count invariant" fleet_case
     (fun ((seed, space), (plants, demands_per_plant, shards)) ->
-      let observe pool =
-        let rng = Rng.create ~seed in
-        let before = Rng.total_draws () in
-        let systems =
-          Simulator.Fleet.deploy_pairs ~pool ~shards rng space ~plants
-        in
-        let fleet =
-          Simulator.Fleet.observe ~pool ~shards rng systems ~demands_per_plant
-        in
-        (fleet_signature fleet, Rng.draws rng, Rng.total_draws () - before)
-      in
-      let sig1, draws1, total1 = observe (Lazy.force pool1) in
-      let sig4, draws4, total4 = observe (Lazy.force pool4) in
-      Alcotest.(check (array (pair int int64)))
-        "records byte-identical across pools" sig1 sig4;
-      check_int "parent draws identical across pools" draws1 draws4;
-      check_int "global draw accounting identical across pools" total1 total4)
+      List.iter
+        (fun (shape, deploy, _) ->
+          let observe pool =
+            let rng = Rng.create ~seed in
+            let before = Rng.total_draws () in
+            let systems = deploy ?pool:(Some pool) ~shards rng space ~plants in
+            let fleet =
+              Simulator.Fleet.observe ~pool ~shards rng systems
+                ~demands_per_plant
+            in
+            (fleet_signature fleet, Rng.draws rng, Rng.total_draws () - before)
+          in
+          let sig1, draws1, total1 = observe (Lazy.force pool1) in
+          let sig4, draws4, total4 = observe (Lazy.force pool4) in
+          Alcotest.(check (array (pair int int64)))
+            (shape ^ ": records byte-identical across pools") sig1 sig4;
+          check_int (shape ^ ": parent draws identical across pools") draws1
+            draws4;
+          check_int
+            (shape ^ ": global draw accounting identical across pools")
+            total1 total4)
+        fleet_shapes)
 
 (* [~shards:1] is the legacy path: it must replay the pre-change
    algorithms (sequential fleet loops, one-demand-at-a-time runner)
@@ -259,19 +332,24 @@ let test_prop_fleet_matches_reference () =
        (Prop.pair Prop.seed (Prop.space ~max_size:120 ~max_faults:4 ()))
        (Prop.pair plants_gen demands_gen))
     (fun ((seed, space), (plants, demands_per_plant)) ->
-      let rng_new = Rng.create ~seed in
-      let systems = Simulator.Fleet.deploy_pairs ~shards:1 rng_new space ~plants in
-      let fleet =
-        Simulator.Fleet.observe ~shards:1 rng_new systems ~demands_per_plant
-      in
-      let rng_ref = Rng.create ~seed in
-      let expected =
-        reference_pairs_fleet rng_ref space ~plants ~demands_per_plant
-      in
-      Alcotest.(check (array (pair int int64)))
-        "records match reference" expected (fleet_signature fleet);
-      check_int "draw sequences identical" (Rng.draws rng_ref)
-        (Rng.draws rng_new))
+      List.iter
+        (fun (shape, deploy, develop) ->
+          let rng_new = Rng.create ~seed in
+          let systems = deploy ?pool:None ~shards:1 rng_new space ~plants in
+          let fleet =
+            Simulator.Fleet.observe ~shards:1 rng_new systems
+              ~demands_per_plant
+          in
+          let rng_ref = Rng.create ~seed in
+          let expected =
+            reference_fleet ~develop rng_ref space ~plants ~demands_per_plant
+          in
+          Alcotest.(check (array (pair int int64)))
+            (shape ^ ": records match reference") expected
+            (fleet_signature fleet);
+          check_int (shape ^ ": draw sequences identical") (Rng.draws rng_ref)
+            (Rng.draws rng_new))
+        fleet_shapes)
 
 (* Batched demand sampling in Runner.run is byte-compatible with the
    one-demand-at-a-time loop for any demand count (cases straddle the

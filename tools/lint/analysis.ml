@@ -5,7 +5,7 @@
    inventory (Mutstate), then walks the conservative call graph from
    every shard-callback root:
 
-   - roots are the callback arguments of Exec.map_shards / Exec.map_reduce
+   - roots are the callback arguments of Exec.map_shards / Exec.map_slices
      / Pool.run spawn sites, plus any function literal passed to an entry
      point declaring ?pool or ?shards (except ~merge arguments, which run
      sequentially at join);
@@ -146,7 +146,8 @@ let r10_captured_msg name =
   Printf.sprintf
     "shard closure captures Rng stream '%s' from the enclosing scope and \
      draws from it; draw order then depends on shard scheduling — give \
-     each shard its own substream via Exec.split_rngs / Rng.split \
+     each shard its own substream: draw from the one Exec.map_slices \
+     passes the callback, or from a Rng.split child \
      (suppress: divlint allow rng-discipline)"
     name
 
@@ -161,8 +162,9 @@ let r11_captured_msg name kind =
   Printf.sprintf
     "shard callback accumulates into captured '%s' (%s); shards complete \
      in nondeterministic order, so the merged result is not in \
-     shard-index order — return per-shard values and combine them with \
-     Exec.map_reduce / an indexed output slot (suppress: divlint allow \
+     shard-index order — return per-shard values and fold the array \
+     Exec.map_shards / Exec.map_slices returns at join, or write an \
+     indexed output slot (suppress: divlint allow \
      nondeterministic-merge)"
     name (C.kind_word kind)
 

@@ -1,12 +1,10 @@
 (* R11 negative: the sanctioned merge patterns. *)
 
-(* map_reduce's ~merge runs sequentially over shard-indexed results at
-   join — the callback itself stays pure. *)
+(* Shard results come back in shard order; folding them at join runs
+   sequentially on the caller, and the callback itself stays pure. *)
 let good_index_order xs =
-  Exec.map_reduce ~shards:4
-    ~f:(fun k -> xs.(k))
-    ~merge:(fun acc v -> acc +. v)
-    ()
+  Exec.map_shards ~shards:4 ~f:(fun k -> xs.(k)) ()
+  |> Array.fold_left (fun acc v -> acc +. v) 0.0
 
 (* Disjoint indexed writes into a preallocated output buffer: each shard
    owns slot k, so completion order cannot change the result. *)
