@@ -1,4 +1,4 @@
-.PHONY: all build lint lint-project test check prop diff bench-json bench-diff evidence clean
+.PHONY: all build lint lint-project test check prop diff surface bench-json bench-diff evidence clean
 
 all: build
 
@@ -44,8 +44,8 @@ bench-diff:
 # on a 1-domain (inline sequential) and a 2-domain default pool: the
 # determinism contract says the outputs cannot differ, and running both
 # ways keeps that claim continuously tested. (--force, because dune
-# would otherwise replay the cached first run.) The property suite
-# (test/test_prop.exe) draws its cases from a fixed seed by default;
+# would otherwise replay the cached first run.) The property suites
+# (test/prop.ml harness) draw their cases from a fixed seed by default;
 # `make check PROP_SEED=1234` replays/explores a different case stream
 # (empty means the built-in seed).
 PROP_SEED ?=
@@ -87,6 +87,18 @@ prop:
 # same PROP_SEED replay contract as `make prop`.
 diff:
 	PROP_SEED=$(PROP_SEED) dune exec test/test_diff.exe
+
+# Public surface per library: `val`s declared in its .mli files (nested
+# module signatures included) and lines of .ml + .mli source, then the
+# totals over lib/.
+surface:
+	@printf '%-12s %5s %6s\n' library vals lines
+	@for d in lib/*/; do \
+	  printf '%-12s %5s %6s\n' $$(basename $$d) \
+	    $$(cat $$d*.mli | grep -c '^ *val ') $$(cat $$d*.ml $$d*.mli | wc -l); \
+	done
+	@printf '%-12s %5s %6s\n' total \
+	  $$(cat lib/*/*.mli | grep -c '^ *val ') $$(cat lib/*/*.ml lib/*/*.mli | wc -l)
 
 clean:
 	dune clean

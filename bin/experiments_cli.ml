@@ -63,20 +63,31 @@ let log_arg =
   let doc = "Write a JSONL structured run log (one event object per line)." in
   Arg.(value & opt (some out_file) None & info [ "log" ] ~docv:"FILE" ~doc)
 
+(* Pool sizes and shard counts must be at least 1; a zero or negative
+   value is a usage error at parse time, before any work starts. *)
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | Some _ | None ->
+        Error (`Msg (Printf.sprintf "'%s' is not a positive integer" s))
+  in
+  Arg.conv ~docv:"N" (parse, Format.pp_print_int)
+
 let domains_arg =
   let doc =
     "Size of the default execution pool (worker domains). Overrides the \
      DIVREL_DOMAINS environment variable. Results are independent of this \
      value."
   in
-  Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N" ~doc)
+  Arg.(value & opt (some positive_int) None & info [ "domains" ] ~docv:"N" ~doc)
 
 let shards_arg =
   let doc =
     "Default shard count for sharded map-reduce entry points. Part of the \
      deterministic contract: outputs are a pure function of (seed, shards)."
   in
-  Arg.(value & opt (some int) None & info [ "shards" ] ~docv:"M" ~doc)
+  Arg.(value & opt (some positive_int) None & info [ "shards" ] ~docv:"M" ~doc)
 
 let setup_parallelism domains shards =
   Option.iter Exec.Pool.set_default_domains domains;

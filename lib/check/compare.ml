@@ -156,8 +156,6 @@ let ratio_wilson ?(z = default_z) ~expected ~num ~den ~trials () =
             expected observed num den trials lo hi;
       }
 
-let all_pass verdicts = List.for_all (fun v -> v.pass) verdicts
-
 let pp ppf v =
   Fmt.pf ppf "%s %s: %s"
     (if v.pass then "ok" else "FAIL")

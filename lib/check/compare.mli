@@ -16,9 +16,6 @@
 
 type verdict = { pass : bool; comparator : string; detail : string }
 
-val default_z : float
-(** 6.0 — see the rationale above. *)
-
 val exact_bits : float -> float -> verdict
 (** Bit-identical doubles (NaN never passes). *)
 
@@ -63,5 +60,4 @@ val ratio_wilson :
     {!wilson}). Inconclusive (passes, with a detail note) when the
     denominator interval touches zero. *)
 
-val all_pass : verdict list -> bool
 val pp : Format.formatter -> verdict -> unit

@@ -619,8 +619,8 @@ let adjudication_unit_identity =
         let ru =
           Simulator.Adjudicator.(combine (compose t unit)) outs
         in
-        if not (Simulator.Channel.equal lu base) then incr left;
-        if not (Simulator.Channel.equal ru base) then incr right
+        if not (Core.Voting.equal_decision lu base) then incr left;
+        if not (Core.Voting.equal_decision ru base) then incr right
       done;
       [
         law_outcome ~oracle:id ~quantity:"compose unit t ≡ t" ~cases
@@ -644,7 +644,7 @@ let adjudication_vote_permutation =
         let outs = random_vector_for rng t ~abstaining:true in
         let a = Simulator.Adjudicator.combine t outs in
         let b = Simulator.Adjudicator.combine t (shuffled rng outs) in
-        if not (Simulator.Channel.equal a b) then incr violations
+        if not (Core.Voting.equal_decision a b) then incr violations
       done;
       [
         law_outcome ~oracle:id ~quantity:"combine t (perm v) ≡ combine t v"
@@ -666,7 +666,7 @@ let adjudication_fallback_idempotent =
         let outs = random_vector_for rng t ~abstaining:false in
         let a = Simulator.Adjudicator.(combine (fallback t t)) outs in
         let b = Simulator.Adjudicator.combine t outs in
-        if not (Simulator.Channel.equal a b) then incr violations
+        if not (Core.Voting.equal_decision a b) then incr violations
       done;
       [
         law_outcome ~oracle:id ~quantity:"fallback t t ≡ t (abstain-free)"
@@ -704,11 +704,11 @@ let adjudication_vote_vs_legacy =
           let t = Simulator.Adjudicator.m_out_of_n ~required in
           let calculus = Simulator.Adjudicator.combine t outs in
           let legacy = legacy_combine ~required outs in
-          if not (Simulator.Channel.equal calculus legacy) then
+          if not (Core.Voting.equal_decision calculus legacy) then
             incr decisions;
           if
             Simulator.Adjudicator.system_fails t outs
-            <> not (Simulator.Channel.equal legacy Simulator.Channel.Shutdown)
+            <> not (Core.Voting.equal_decision legacy Simulator.Channel.Shutdown)
           then incr fails
         done
       done;
@@ -727,13 +727,13 @@ let reference_cascade outs =
   let shut =
     List.length
       (List.filter
-         (fun o -> Simulator.Channel.equal o Simulator.Channel.Shutdown)
+         (fun o -> Core.Voting.equal_decision o Simulator.Channel.Shutdown)
          outs)
   in
   let active =
     List.length
       (List.filter
-         (fun o -> not (Simulator.Channel.equal o Simulator.Channel.Abstain))
+         (fun o -> not (Core.Voting.equal_decision o Simulator.Channel.Abstain))
          outs)
   in
   if shut >= 2 then Simulator.Channel.Shutdown
@@ -763,15 +763,14 @@ let adjudication_graceful_degradation =
         let outs = random_outputs rng ~n:channels ~abstaining:true in
         if
           not
-            (Simulator.Channel.equal
+            (Core.Voting.equal_decision
                (Simulator.Adjudicator.combine cascade outs)
                (reference_cascade outs))
         then incr violations
       done;
       let u = Scenario.universe s in
-      let policy = Simulator.Adjudicator.policy cascade in
-      let mu = Core.Voting.policy_mu policy ~channels ~detection u in
-      let sigma = Core.Voting.policy_sigma policy ~channels ~detection u in
+      let mu = Core.Voting.policy_mu cascade ~channels ~detection u in
+      let sigma = Core.Voting.policy_sigma cascade ~channels ~detection u in
       let bound = Core.Universe.total_q u in
       let r = Scenario.replications s in
       let list_samples =

@@ -80,10 +80,10 @@ let concrete_pairs rng space ~replications =
    actual [Channel.output] vector (clean channel -> Shutdown, undetected
    carrier -> No_action, self-detected carrier -> Abstain) and hand it
    to [Adjudicator.combine]. Independent of both the counts fast path
-   ([Devteam.adjudicated_system_pfd], the runner's decision table) and
-   the closed form ([Voting.policy_defeat_prob]): a bug in the fold, the
-   decision table or the binomial integration breaks three-way
-   agreement. *)
+   ([Devteam.adjudicated_system_pfd_from_universe], the runner's
+   decision table) and the closed form ([Voting.policy_defeat_prob]): a
+   bug in the fold, the decision table or the binomial integration
+   breaks three-way agreement. *)
 let adjudicated rng universe ~channels ~detection ~adjudicator ~replications =
   if replications < 1 then
     invalid_arg "Sim.adjudicated: replications must be >= 1";

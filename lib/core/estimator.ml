@@ -26,12 +26,6 @@ let p_hat obs =
   let m = float_of_int (version_count obs) in
   Array.map (fun c -> float_of_int c /. m) (occurrence_counts obs)
 
-let p_interval ?(z = 1.959963984540054) obs i =
-  let counts = occurrence_counts obs in
-  if i < 0 || i >= obs.n_faults then
-    invalid_arg "Estimator.p_interval: fault index out of range";
-  Stats.proportion_ci ~z ~successes:counts.(i) ~trials:(version_count obs) ()
-
 let pmax_hat obs = Array.fold_left max 0.0 (p_hat obs)
 
 let pmax_upper ?(z = 1.959963984540054) obs =
@@ -74,13 +68,6 @@ let bootstrap_predict ?(replicates = 1000) ?(alpha = 0.05) rng obs ~qs ~statisti
     ci_low = Stats.quantile_sorted stats (alpha /. 2.0);
     ci_high = Stats.quantile_sorted stats (1.0 -. (alpha /. 2.0));
   }
-
-let predict_mean_gain ?replicates ?alpha rng obs ~qs =
-  bootstrap_predict ?replicates ?alpha rng obs ~qs ~statistic:(fun u ->
-      (* mean gain can be infinite on resamples where no fault repeats;
-         cap it so interval endpoints stay finite and interpretable *)
-      let g = Moments.mean_gain u in
-      if Float.is_finite g then g else float_of_int (version_count obs) ** 2.0)
 
 let predict_risk_ratio ?replicates ?alpha rng obs ~qs =
   bootstrap_predict ?replicates ?alpha rng obs ~qs ~statistic:(fun u ->

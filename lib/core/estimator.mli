@@ -24,9 +24,6 @@ val occurrence_counts : observation -> int array
 val p_hat : observation -> float array
 (** Maximum-likelihood estimates of the introduction probabilities. *)
 
-val p_interval : ?z:float -> observation -> int -> float * float
-(** Wilson interval for one fault's probability. *)
-
 val pmax_hat : observation -> float
 (** Point estimate of pmax. *)
 
@@ -40,21 +37,6 @@ val plug_in_universe : observation -> qs:float array -> Universe.t
     region measures. *)
 
 type prediction = { point : float; ci_low : float; ci_high : float }
-
-val bootstrap_predict :
-  ?replicates:int ->
-  ?alpha:float ->
-  Numerics.Rng.t ->
-  observation ->
-  qs:float array ->
-  statistic:(Universe.t -> float) ->
-  prediction
-(** Plug-in prediction of any universe statistic with a percentile
-    bootstrap interval over the version sample. *)
-
-val predict_mean_gain :
-  ?replicates:int -> ?alpha:float -> Numerics.Rng.t -> observation -> qs:float array -> prediction
-(** mu1/mu2 with sampling uncertainty (capped on degenerate resamples). *)
 
 val predict_risk_ratio :
   ?replicates:int -> ?alpha:float -> Numerics.Rng.t -> observation -> qs:float array -> prediction

@@ -17,8 +17,6 @@ let scale_p t factor =
   { t with p }
 
 let with_p t p = make ~p ~q:t.q
-let with_q t q = make ~p:t.p ~q
-
 let mean_contribution t = t.p *. t.q
 let variance_contribution t = t.p *. (1.0 -. t.p) *. t.q *. t.q
 
@@ -27,7 +25,3 @@ let common_mean_contribution t = t.p *. t.p *. t.q
 let common_variance_contribution t =
   let p2 = t.p *. t.p in
   p2 *. (1.0 -. p2) *. t.q *. t.q
-
-let pp ppf t = Fmt.pf ppf "{p=%.6g; q=%.6g}" t.p t.q
-let equal a b = a.p = b.p && a.q = b.q
-let compare a b = Stdlib.compare (a.p, a.q) (b.p, b.q)

@@ -25,7 +25,6 @@ val scale_p : t -> float -> t
     raises [Invalid_argument] if the result leaves [0, 1]. *)
 
 val with_p : t -> float -> t
-val with_q : t -> float -> t
 
 val mean_contribution : t -> float
 (** [p*q]: this fault's term in E(Theta_1), eq. (1). *)
@@ -38,7 +37,3 @@ val common_mean_contribution : t -> float
 
 val common_variance_contribution : t -> float
 (** [p^2(1-p^2)q^2]: the term in Var(Theta_2). *)
-
-val pp : Format.formatter -> t -> unit
-val equal : t -> t -> bool
-val compare : t -> t -> int

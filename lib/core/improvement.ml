@@ -28,8 +28,6 @@ let apply_step u step =
           Fault.scale_p f factors.(!i))
         u
 
-let apply u steps = List.fold_left apply_step u steps
-
 let is_obviously_better u u' =
   (* Section 4.2: a change "in which no p_i increases and one or more
      decrease". *)
@@ -71,6 +69,3 @@ let trajectory u ~step ~factors =
 
 let proportional_trajectory u ~factors =
   trajectory u ~step:(fun k -> Proportional k) ~factors
-
-let single_fault_trajectory u ~index ~factors =
-  trajectory u ~step:(fun factor -> Single { index; factor }) ~factors

@@ -18,9 +18,6 @@ val apply_step : Universe.t -> step -> Universe.t
 (** Raises [Invalid_argument] on negative factors, out-of-range indices, or
     scalings that push a probability above 1. *)
 
-val apply : Universe.t -> step list -> Universe.t
-(** Apply a sequence of changes left to right. *)
-
 val is_obviously_better : Universe.t -> Universe.t -> bool
 (** [is_obviously_better u u'] holds when moving from [u] to [u'] no p_i
     increases and at least one decreases — the paper's notion of an
@@ -36,15 +33,6 @@ type trajectory_point = {
 (** Reliability measures of the transformed universe at one value of the
     improvement factor. *)
 
-val trajectory :
-  Universe.t -> step:(float -> step) -> factors:float array -> trajectory_point array
-(** Evaluate the measures along a family of transformed universes (each
-    applied to the *original* universe, not cumulatively). *)
-
 val proportional_trajectory :
   Universe.t -> factors:float array -> trajectory_point array
 (** The Appendix B sweep: factors are values of k. *)
-
-val single_fault_trajectory :
-  Universe.t -> index:int -> factors:float array -> trajectory_point array
-(** The Section 4.2.1 sweep on one fault. *)

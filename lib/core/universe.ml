@@ -47,7 +47,6 @@ let with_fault t i fault =
 
 let set_p t i p = with_fault t i (Fault.with_p t.faults.(i) p)
 
-let fold f init t = Array.fold_left f init t.faults
 let iteri f t = Array.iteri f t.faults
 
 let pp ppf t =

@@ -40,7 +40,6 @@ val validate_disjoint : t -> bool
     failure regions (Section 6.2). *)
 
 val map_faults : (Fault.t -> Fault.t) -> t -> t
-val map_p : (float -> float) -> t -> t
 
 val scale_all_p : t -> float -> t
 (** The Appendix B process-quality transformation p_i = k*b_i applied as a
@@ -49,7 +48,6 @@ val scale_all_p : t -> float -> t
 val with_fault : t -> int -> Fault.t -> t
 val set_p : t -> int -> float -> t
 
-val fold : ('a -> Fault.t -> 'a) -> 'a -> t -> 'a
 val iteri : (int -> Fault.t -> unit) -> t -> unit
 val pp : Format.formatter -> t -> unit
 

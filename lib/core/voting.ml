@@ -37,9 +37,6 @@ let sigma t u = sqrt (var t u)
 let system_fault_probs t u =
   Array.map (fun f -> fault_defeats_system t ~p:(Fault.p f)) (Universe.faults u)
 
-let p_system_fault_free t u =
-  Fault_count.prob_none (system_fault_probs t u)
-
 let p_some_system_fault t u =
   Fault_count.prob_some (system_fault_probs t u)
 
@@ -77,10 +74,6 @@ type policy =
   | Vote of int
   | Compose of policy * policy
   | Fallback of policy * policy
-
-let vote ~required =
-  if required < 1 then invalid_arg "Voting.vote: required must be >= 1";
-  Vote required
 
 let compose a b = Compose (a, b)
 let fallback a b = Fallback (a, b)

@@ -40,9 +40,6 @@ val system_fault_probs : t -> Universe.t -> float array
 (** Per-fault probabilities of defeating the vote — the voted system's
     analogue of the p_i^2 vector. *)
 
-val p_system_fault_free : t -> Universe.t -> float
-(** Probability that no fault defeats the vote (the Section 4 measure). *)
-
 val p_some_system_fault : t -> Universe.t -> float
 
 val risk_ratio_vs_single : t -> Universe.t -> float
@@ -92,10 +89,6 @@ type policy =
       (** [Fallback (a, b)]: decide by [a]; if [a]'s verdict collapses
           to Abstain, re-adjudicate the original votes through [b] *)
 
-val vote : required:int -> policy
-(** [Vote required], validated. Raises [Invalid_argument] when
-    [required < 1]. *)
-
 val compose : policy -> policy -> policy
 val fallback : policy -> policy -> policy
 
@@ -135,14 +128,8 @@ val arch_policy : t -> policy
     [fault_defeats_system] and the [policy_*] forms below reduce to
     their fixed-architecture counterparts. *)
 
-val binom_pmf : n:int -> p:float -> int -> float
-(** [binom_pmf ~n ~p k] is P(Bin(n, p) = k); exact at p = 0 and 1. *)
-
 val policy_defeat_prob :
   policy -> channels:int -> ?detection:float -> p:float -> unit -> float
-
-val policy_system_fault_probs :
-  policy -> channels:int -> ?detection:float -> Universe.t -> float array
 
 val policy_mu :
   policy -> channels:int -> ?detection:float -> Universe.t -> float

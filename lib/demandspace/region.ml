@@ -10,15 +10,9 @@ type shape =
 type t = { space_size : int; members : Bitset.t; shape : shape }
 
 let members t = t.members
-let shape t = t.shape
 let space_size t = t.space_size
 let cardinal t = Bitset.cardinal t.members
 let mem t d = Bitset.mem t.members (Demand.to_int d)
-
-let of_bitset ~space_size ~shape members =
-  if Bitset.length members <> space_size then
-    invalid_arg "Region.of_bitset: bitset over a different space";
-  { space_size; members; shape }
 
 let points ~space_size ids =
   List.iter
@@ -118,6 +112,3 @@ let shape_name t =
   | Box _ -> "box"
   | Line _ -> "line"
   | Scatter _ -> "scatter"
-
-let pp ppf t =
-  Fmt.pf ppf "region(%s, |.|=%d/%d)" (shape_name t) (cardinal t) t.space_size

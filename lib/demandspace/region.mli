@@ -9,18 +9,10 @@
     literature: simple blobs (boxes/intervals), lines, and "non-intuitive
     shapes, including non-connected regions like arrays of separate points". *)
 
-type shape =
-  | Points of int list
-  | Interval of { lo : int; hi : int }
-  | Box of { x_lo : int; x_hi : int; y_lo : int; y_hi : int; width : int }
-  | Line of { x0 : int; y0 : int; dx : int; dy : int; steps : int; width : int }
-  | Scatter of { seed : int; count : int }
-
 type t
 (** A set of demands over a fixed-size space, tagged with how it was built. *)
 
 val members : t -> Numerics.Bitset.t
-val shape : t -> shape
 val space_size : t -> int
 
 val cardinal : t -> int
@@ -28,8 +20,6 @@ val cardinal : t -> int
 
 val mem : t -> Demand.t -> bool
 (** Is this demand a failure point of the region? *)
-
-val of_bitset : space_size:int -> shape:shape -> Numerics.Bitset.t -> t
 
 val points : space_size:int -> int list -> t
 (** Explicit list of failure points. *)
@@ -57,4 +47,3 @@ val measure : t -> Profile.t -> float
 (** The region's probability q under the operational profile. *)
 
 val shape_name : t -> string
-val pp : Format.formatter -> t -> unit

@@ -17,7 +17,6 @@ let perfect space = create space []
 
 let space t = t.space
 let present_faults t = t.present
-let fault_count t = List.length t.present
 let failure_set t = t.failure_set
 let pfd t = t.pfd
 

@@ -95,8 +95,12 @@ type t = {
   mutable fleet_observes : int;
   mutable declared_plants : int;
   mutable declared_fleet_failures : int;
-  (* Empirical demand histogram (by id), grown on demand. *)
-  mutable demand_counts : int array;
+  (* Empirical demand histogram, kept only for drift detection: one slot
+     per declared demand id plus a last slot pooling every id beyond the
+     profile (all impossible to [Drift.assess]), so its size is fixed by
+     the configuration, never by an id read from the log. Empty when no
+     profile is declared. *)
+  demand_counts : int array;
   mutable accepted : int;
   mutable malformed : int;
   skipped : (string, int) Hashtbl.t;
@@ -126,7 +130,10 @@ let create config =
     fleet_observes = 0;
     declared_plants = 0;
     declared_fleet_failures = 0;
-    demand_counts = [||];
+    demand_counts =
+      (match config.expected_profile with
+      | Some profile -> Array.make (Array.length profile + 1) 0
+      | None -> [||]);
     accepted = 0;
     malformed = 0;
     skipped = Hashtbl.create 8;
@@ -149,12 +156,10 @@ let plant_state t plant =
 
 let bump_demand t id count =
   let n = Array.length t.demand_counts in
-  if id >= n then begin
-    let grown = Array.make (max (id + 1) (max 16 (2 * n))) 0 in
-    Array.blit t.demand_counts 0 grown 0 n;
-    t.demand_counts <- grown
-  end;
-  t.demand_counts.(id) <- t.demand_counts.(id) + count
+  if n > 0 then begin
+    let slot = min id (n - 1) in
+    t.demand_counts.(slot) <- t.demand_counts.(slot) + count
+  end
 
 let ingest_event t (event : Schema.event) =
   t.accepted <- t.accepted + 1;

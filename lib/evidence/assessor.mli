@@ -51,8 +51,6 @@ val ingest_line : t -> string -> unit
     and unconsumed kinds are counted (and surfaced in the verdict and
     the [evidence.*] metrics), not fatal. *)
 
-val ingest_json : t -> Obs.Json.t -> unit
-
 val ingest_parsed : t -> Schema.parsed -> unit
 
 val ingest_runlog : t -> Obs.Runlog.t -> unit
@@ -152,4 +150,6 @@ type run_meta = {
 val run_meta : t -> run_meta
 
 val demand_counts : t -> int array
-(** Copy of the accumulated empirical demand histogram (by id). *)
+(** Copy of the accumulated empirical demand histogram: one slot per id
+    of the declared profile, then one slot pooling every id beyond it.
+    Empty when no profile is declared (drift detection off). *)

@@ -61,7 +61,6 @@ val p_n2_zero : t -> float
 (** Exact P(pair shares no fault), conditioning on both channels' shocks. *)
 
 val p_n1_pos : t -> float
-val p_n2_pos : t -> float
 
 val risk_ratio : t -> float
 (** The eq. (10) ratio under correlation. *)

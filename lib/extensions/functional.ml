@@ -14,9 +14,6 @@ let create space ~sensing_b =
 let non_functional space =
   { space; sensing_b = Transform.identity (Demandspace.Space.size space) }
 
-let space t = t.space
-let sensing_b t = t.sensing_b
-
 let mean_single t = Baselines.Eckhardt_lee.mean_single t.space
 
 let mean_pair t =

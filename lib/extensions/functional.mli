@@ -20,9 +20,6 @@ val create : Demandspace.Space.t -> sensing_b:Demandspace.Transform.t -> t
 val non_functional : Demandspace.Space.t -> t
 (** The paper's worst case: both channels sense identically. *)
 
-val space : t -> Demandspace.Space.t
-val sensing_b : t -> Demandspace.Transform.t
-
 val mean_single : t -> float
 (** E(Theta_1) — unchanged by sensing (a bijection preserves nothing about
     a single channel's failure probability only if the profile is

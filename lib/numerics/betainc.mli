@@ -21,10 +21,6 @@ val beta_ppf : a:float -> b:float -> float -> float
 
 val beta_mean : a:float -> b:float -> float
 
-val binomial_cdf : n:int -> p:float -> int -> float
-(** P(Bin(n, p) <= k) through the incomplete beta identity — no summation
-    error even for large n. *)
-
 val binomial_sf : n:int -> p:float -> int -> float
 (** P(Bin(n, p) > k). *)
 

@@ -81,5 +81,3 @@ let of_list size l =
   let t = create size in
   List.iter (fun i -> set t i) l;
   t
-
-let equal a b = a.size = b.size && a.words = b.words

@@ -40,7 +40,5 @@ val disjoint : t -> t -> bool
 val iter : (int -> unit) -> t -> unit
 (** Visit members in increasing order. *)
 
-val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
 val to_list : t -> int list
 val of_list : int -> int list -> t
-val equal : t -> t -> bool

@@ -13,10 +13,6 @@ let arange ~lo ~hi ~step =
   let n = int_of_float (ceil ((hi -. lo) /. step)) in
   Array.init (max 0 n) (fun i -> lo +. (step *. float_of_int i))
 
-let map2 f a b =
-  if Array.length a <> Array.length b then invalid_arg "Grid.map2: length mismatch";
-  Array.init (Array.length a) (fun i -> f a.(i) b.(i))
-
 let trapezoid ~xs ~ys =
   let n = Array.length xs in
   if n <> Array.length ys then invalid_arg "Grid.trapezoid: length mismatch";

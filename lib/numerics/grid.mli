@@ -9,8 +9,5 @@ val logspace : lo:float -> hi:float -> n:int -> float array
 val arange : lo:float -> hi:float -> step:float -> float array
 (** Points lo, lo+step, ... strictly below [hi]. *)
 
-val map2 : ('a -> 'b -> 'c) -> 'a array -> 'b array -> 'c array
-(** Element-wise map over two equal-length arrays. *)
-
 val trapezoid : xs:float array -> ys:float array -> float
 (** Trapezoidal-rule integral of the sampled function. *)

@@ -18,7 +18,6 @@ let add t x =
   if x < t.min then t.min <- x;
   if x > t.max then t.max <- x
 
-let count t = t.count
 let mean t = if t.count = 0 then nan else t.mean
 
 let variance t =
@@ -26,8 +25,6 @@ let variance t =
 
 let std t = sqrt (variance t)
 let min_value t = if t.count = 0 then nan else t.min
-let max_value t = if t.count = 0 then nan else t.max
-
 let merge a b =
   if a.count = 0 then { b with count = b.count }
   else if b.count = 0 then { a with count = a.count }
@@ -43,13 +40,3 @@ let merge a b =
           /. float_of_int n)
     in
     { count = n; mean; m2; min = min a.min b.min; max = max a.max b.max }
-
-let to_summary t : Stats.summary =
-  {
-    Stats.n = t.count;
-    mean = mean t;
-    variance = (if t.count < 2 then 0.0 else variance t);
-    std = (if t.count < 2 then 0.0 else std t);
-    min = min_value t;
-    max = max_value t;
-  }

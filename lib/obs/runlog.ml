@@ -38,7 +38,6 @@ let create_streaming oc =
 let global : t option ref = ref None
 
 let set_sink s = global := s
-let sink () = !global
 let active () = match !global with Some _ -> true | None -> false
 
 (* Must be called with [t.lock] held. *)

@@ -36,7 +36,6 @@ val set_sink : t option -> unit
 (** Install (or remove, with [None]) the global sink that {!record}
     appends to. *)
 
-val sink : unit -> t option
 val active : unit -> bool
 
 val record : kind:string -> (string * Json.t) list -> unit

@@ -12,15 +12,11 @@
     from multiple domains. *)
 
 val set_enabled : bool -> unit
-val is_enabled : unit -> bool
 
 val with_shard : int -> (unit -> 'a) -> 'a
 (** [with_shard k f] runs [f] with spans attributed to shard [k]
     (domain-local state; restored on exit). Code outside any sharded
     region records under shard 0. *)
-
-val current_shard : unit -> int
-(** The shard id spans opened by this domain are attributed to. *)
 
 type handle
 (** Token returned by {!enter}; pass it to {!leave}. *)
@@ -59,10 +55,5 @@ val span_count : unit -> int
 
 val to_text : unit -> string
 (** Indented tree, one line per span with a human-readable duration. *)
-
-val to_chrome_json : unit -> Json.t
-(** Chrome trace-event JSON (["ph":"X"] complete events, microsecond
-    timestamps relative to the first span); loadable in chrome://tracing
-    and Perfetto. *)
 
 val render_chrome_json : unit -> string

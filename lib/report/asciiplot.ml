@@ -78,6 +78,3 @@ let render_log_y ?(width = 64) ?(height = 20) ~title all =
     }
   in
   render ~width ~height ~title:(title ^ " (log10 y)") (List.map log_series all)
-
-let print ?width ?height ~title all =
-  print_string (render ?width ?height ~title all)

@@ -12,5 +12,3 @@ val render_log_y :
   ?width:int -> ?height:int -> title:string -> series list -> string
 (** As {!render} but y values are log10-transformed (non-positive points
     dropped) — for PFD curves spanning orders of magnitude. *)
-
-val print : ?width:int -> ?height:int -> title:string -> series list -> unit

@@ -13,8 +13,6 @@ let of_table t =
   List.iter (fun r -> Buffer.add_string buf (row r)) (Table.rows t);
   Buffer.contents buf
 
-let of_tables ts = String.concat "\n" (List.map of_table ts)
-
 let code_block ?(language = "") body =
   let body =
     if String.length body > 0 && body.[String.length body - 1] = '\n' then body

@@ -5,7 +5,5 @@ val of_table : Table.t -> string
 (** GitHub-flavoured markdown table with the title as an H3 heading; pipe
     characters in cells are escaped. *)
 
-val of_tables : Table.t list -> string
-
 val code_block : ?language:string -> string -> string
 (** Wrap preformatted text (e.g. an ASCII figure) in a fenced code block. *)

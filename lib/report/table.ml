@@ -52,5 +52,3 @@ let render t =
       Buffer.add_string buf (String.concat " | " (List.mapi pad row) ^ "\n"))
     t.rows;
   Buffer.contents buf
-
-let print t = print_string (render t)

@@ -5,13 +5,10 @@
 type cell = string
 type t
 
-val create : title:string -> headers:string list -> t
-
 val add_row : t -> cell list -> t
 (** Raises [Invalid_argument] when the row width differs from the header
     count. *)
 
-val add_rows : t -> cell list list -> t
 val of_rows : title:string -> headers:string list -> cell list list -> t
 
 val float : ?precision:int -> float -> cell
@@ -26,5 +23,3 @@ val rows : t -> cell list list
 
 val render : t -> string
 (** Aligned text rendering with a title line. *)
-
-val print : t -> unit

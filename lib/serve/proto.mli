@@ -45,19 +45,13 @@ type line = Work of request | Admin of { id : string; verb : admin }
 
 (** {1 Protocol limits}
 
-    Violations are answered with an error line and never admitted. *)
+    At most 1024 faults, 16 channels, 16384 bins, 4096 plants, 10{^6}
+    demands per plant, a 10{^9}-demand mission, 64 shards and a 128-byte
+    id; a demand space of 16..65536 points; a salt of at most
+    {!max_salt}. Violations are answered with an error line and never
+    admitted. *)
 
-val max_faults : int
-val max_channels : int
-val max_bins : int
-val max_plants : int
-val max_demands : int
-val max_mission : int
 val max_salt : int
-val max_shards : int
-val min_space : int
-val max_space : int
-val max_id_len : int
 
 (** {1 Requests} *)
 

@@ -11,17 +11,9 @@ let compose = Core.Voting.compose
 let fallback = Core.Voting.fallback
 let one_out_of_n = vote ~required:1
 let m_out_of_n ~required = vote ~required
-let policy t = t
-let of_policy p = p
 let min_channels = Core.Voting.policy_min_channels
 
-let output_of_decision = function
-  | Core.Voting.Shutdown -> Channel.Shutdown
-  | Core.Voting.No_action -> Channel.No_action
-  | Core.Voting.Abstain -> Channel.Abstain
-
-let decide_counts t ~shutdowns ~no_actions ~abstains =
-  output_of_decision (Core.Voting.decide t ~shutdowns ~no_actions ~abstains)
+let decide_counts = Core.Voting.decide
 
 let combine t outputs =
   (match outputs with
@@ -41,7 +33,7 @@ let combine t outputs =
   decide_counts t ~shutdowns ~no_actions ~abstains
 
 let system_fails t outputs =
-  not (Channel.equal (combine t outputs) Channel.Shutdown)
+  not (Core.Voting.equal_decision (combine t outputs) Channel.Shutdown)
 
 let equal = Core.Voting.equal_policy
 let pp = Core.Voting.pp_policy

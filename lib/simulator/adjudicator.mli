@@ -18,7 +18,9 @@
     abstain-free inputs their decisions are byte-identical to the seed's
     (Shutdown iff enough shutdown votes). *)
 
-type t
+type t = Core.Voting.policy
+(** An adjudicator is a calculus term, so the closed forms
+    ({!Core.Voting.policy_mu} and friends) evaluate it directly. *)
 
 val unit : t
 (** Identity for [compose]: adjudicates to the vote vector itself
@@ -49,12 +51,6 @@ val min_channels : t -> int
 (** Fewest channel outputs the adjudicator can reach a verdict on;
     [combine] raises below this arity. For [vote ~required:r] this is
     [r], preserving the legacy arity check. *)
-
-val policy : t -> Core.Voting.policy
-(** The underlying calculus term, for closed-form evaluation
-    ({!Core.Voting.policy_mu} and friends). *)
-
-val of_policy : Core.Voting.policy -> t
 
 val combine : t -> Channel.output list -> Channel.output
 (** Adjudicate a vector of channel outputs. Raises [Invalid_argument]

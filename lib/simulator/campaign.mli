@@ -89,7 +89,7 @@ val compare_adjudicated :
   architecture_report list
 (** {!compare_architectures} generalised to adjudicator calculus terms:
     for each (label, channels, adjudicator) triple, develop [channels]
-    optionally self-checking channels ({!Devteam.develop_channel} with
+    optionally self-checking channels ({!Devteam.develop_channels} with
     [detection]) and measure the adjudicated system — e.g. pitting
     [vote ~required:2] against
     [fallback (vote ~required:2) (vote ~required:1)] under the same

@@ -1,4 +1,4 @@
-type output = Shutdown | No_action | Abstain
+type output = Core.Voting.decision = Shutdown | No_action | Abstain
 
 type t = {
   name : string;
@@ -15,7 +15,6 @@ let create ?self_check ~name version =
   | Some _ | None -> ());
   { name; version; self_check }
 
-let name t = t.name
 let version t = t.version
 let self_check t = t.self_check
 
@@ -32,15 +31,7 @@ let respond t demand =
     | Some _ | None -> No_action
   else Shutdown
 
-let fails_on t demand = Demandspace.Version.fails_on t.version demand
-
-let equal_output a b =
-  match (a, b) with
-  | Shutdown, Shutdown | No_action, No_action | Abstain, Abstain -> true
-  | (Shutdown | No_action | Abstain), _ -> false
-
-let equal = equal_output
-let abstains_on t demand = equal_output (respond t demand) Abstain
+let abstains_on t demand = Core.Voting.equal_decision (respond t demand) Abstain
 
 let abstain_set t =
   let failure = Demandspace.Version.failure_set t.version in
@@ -49,11 +40,6 @@ let abstain_set t =
   | Some s -> Numerics.Bitset.inter failure s
 
 let pfd t = Demandspace.Version.pfd t.version
-
-let pp_output ppf = function
-  | Shutdown -> Fmt.string ppf "shutdown"
-  | No_action -> Fmt.string ppf "no-action"
-  | Abstain -> Fmt.string ppf "abstain"
 
 let pp ppf t =
   Fmt.pf ppf "channel %s (pfd=%.6g%s)" t.name (pfd t)

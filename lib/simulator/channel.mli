@@ -4,9 +4,11 @@
     act, or — for self-checking channels — abstains when its runtime check
     catches the failure and withholds the wrong output. *)
 
-type output = Shutdown | No_action | Abstain
-(** Channel output lattice. The paper's binary channels never produce
-    [Abstain]; self-checking channels (Boiten's "Diversity and
+type output = Core.Voting.decision = Shutdown | No_action | Abstain
+(** Channel output lattice, the adjudication calculus's verdict type
+    (compare with {!Core.Voting.equal_decision}, print with
+    {!Core.Voting.pp_decision}). The paper's binary channels never
+    produce [Abstain]; self-checking channels (Boiten's "Diversity and
     Adjudication") abstain on demands their check covers. *)
 
 type t
@@ -19,7 +21,6 @@ val create : ?self_check:Numerics.Bitset.t -> name:string -> Demandspace.Version
     space. Without [self_check] the channel behaves exactly as the seed's
     binary channel. *)
 
-val name : t -> string
 val version : t -> Demandspace.Version.t
 
 val self_check : t -> Numerics.Bitset.t option
@@ -27,10 +28,6 @@ val self_check : t -> Numerics.Bitset.t option
 val respond : t -> Demandspace.Demand.t -> output
 (** [Shutdown] off the version's failure set; on it, [Abstain] when the
     self-check covers the demand, [No_action] otherwise. *)
-
-val fails_on : t -> Demandspace.Demand.t -> bool
-(** The demand lies in the version's failure set (the output is not
-    [Shutdown], whether the failure is silent or self-detected). *)
 
 val abstains_on : t -> Demandspace.Demand.t -> bool
 
@@ -41,11 +38,4 @@ val abstain_set : t -> Numerics.Bitset.t
 
 val pfd : t -> float
 
-val equal_output : output -> output -> bool
-
-val equal : output -> output -> bool
-(** Alias of {!equal_output} — the adjudicated vote is the module's
-    comparable value. Prefer this over polymorphic [=]. *)
-
-val pp_output : Format.formatter -> output -> unit
 val pp : Format.formatter -> t -> unit

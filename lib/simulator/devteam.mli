@@ -22,19 +22,6 @@ val develop_many :
 (** A population of versions (e.g. the 27 of the Knight–Leveson
     replication). *)
 
-val develop_channel :
-  ?detection:float ->
-  Numerics.Rng.t ->
-  Demandspace.Space.t ->
-  name:string ->
-  Channel.t
-(** Develop one (possibly self-checking) channel: the version is drawn
-    exactly as by {!develop}, then each introduced fault is caught by
-    the team's runtime checks independently with probability
-    [detection] (default 0 — no extra draws, plain binary channel); the
-    channel abstains on demands in detected faults' regions. Raises
-    [Invalid_argument] when [detection] is outside [0, 1]. *)
-
 val develop_channels :
   ?detection:float ->
   Numerics.Rng.t ->
@@ -47,40 +34,25 @@ val develop_channels :
 (** {2 Compiled abstract development}
 
     The Monte Carlo hot path samples millions of abstract versions from
-    one universe. Compiling the universe turns its parameter vectors into
-    plain arrays and reuses scratch bitsets for the sampled fault sets,
-    replacing list construction and an O(k{^ 2}) list intersection with
-    three linear passes — while consuming the RNG stream and ordering the
-    compensated sums exactly as the uncompiled path, so results are
-    byte-identical. *)
-
-type compiled
-(** A universe prepared for repeated sampling. Carries mutable scratch:
-    use a compiled universe from one domain only (parallel code compiles
-    one per shard). *)
-
-val compile : Core.Universe.t -> compiled
-(** O(n) preparation of one universe for repeated draws. *)
-
-val version_pfd : Numerics.Rng.t -> compiled -> float
-(** PFD of one sampled version under the non-overlap assumption. *)
-
-val pair_pfd : Numerics.Rng.t -> compiled -> float * float * float
-(** [(pfd_a, pfd_b, pfd_pair)] for an independently developed pair; the
-    pair PFD is the summed measure of the common faults. *)
+    one universe. Each universe is compiled once per domain (a one-slot
+    cache): its parameter vectors become plain arrays and the sampled
+    fault sets reuse scratch bitsets, replacing list construction and an
+    O(k{^ 2}) list intersection with three linear passes — while
+    consuming the RNG stream and ordering the compensated sums exactly
+    as the uncompiled path, so results are byte-identical. *)
 
 val version_pfd_from_universe : Numerics.Rng.t -> Core.Universe.t -> float
-(** [version_pfd] through a per-domain one-slot compile cache, so looping
-    on a single universe pays compilation once. *)
+(** PFD of one sampled version under the non-overlap assumption. *)
 
 val pair_pfd_from_universe :
   Numerics.Rng.t -> Core.Universe.t -> float * float * float
-(** [pair_pfd] through the same per-domain compile cache. *)
+(** [(pfd_a, pfd_b, pfd_pair)] for an independently developed pair; the
+    pair PFD is the summed measure of the common faults. *)
 
-val adjudicated_system_pfd :
+val adjudicated_system_pfd_from_universe :
   ?detection:float ->
   Numerics.Rng.t ->
-  compiled ->
+  Core.Universe.t ->
   channels:int ->
   adjudicator:Adjudicator.t ->
   float
@@ -93,12 +65,3 @@ val adjudicated_system_pfd :
     {!Core.Voting.policy_defeat_prob}'s closed form. Raises
     [Invalid_argument] when [channels < 1] or [detection] is outside
     [0, 1]. *)
-
-val adjudicated_system_pfd_from_universe :
-  ?detection:float ->
-  Numerics.Rng.t ->
-  Core.Universe.t ->
-  channels:int ->
-  adjudicator:Adjudicator.t ->
-  float
-(** [adjudicated_system_pfd] through the per-domain compile cache. *)

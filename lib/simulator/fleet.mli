@@ -58,7 +58,7 @@ val deploy_adjudicated :
   channels:int ->
   Protection.t array
 (** Each plant gets [channels] independently developed (optionally
-    self-checking, see {!Devteam.develop_channel}) channels behind an
+    self-checking, see {!Devteam.develop_channels}) channels behind an
     arbitrary adjudicator term — e.g. a cascaded vote with a fallback
     for graceful degradation under abstention. Default adjudicator is
     the paper's OR; default [detection] is 0 (plain binary channels).

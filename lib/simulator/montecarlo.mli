@@ -34,7 +34,6 @@ val estimate :
     [Invalid_argument] when [replications <= 0] or [shards < 1]. *)
 
 val quantile_theta1 : estimate -> float -> float
-val quantile_theta2 : estimate -> float -> float
 
 type population = {
   version_pfds : float array;

@@ -12,7 +12,6 @@ let voted ~required channels =
   create ~adjudicator:(Adjudicator.m_out_of_n ~required) channels
 
 let channels t = t.channels
-let channel_count t = List.length t.channels
 let adjudicator t = t.adjudicator
 
 let space t =
@@ -25,7 +24,7 @@ let respond t demand =
     (List.map (fun c -> Channel.respond c demand) t.channels)
 
 let fails_on t demand =
-  not (Channel.equal (respond t demand) Channel.Shutdown)
+  not (Core.Voting.equal_decision (respond t demand) Channel.Shutdown)
 
 let true_pfd t =
   (* Exact: count, demand by demand, whether enough channels survive.

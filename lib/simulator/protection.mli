@@ -17,7 +17,6 @@ val voted : required:int -> Channel.t list -> t
     shutdown. *)
 
 val channels : t -> Channel.t list
-val channel_count : t -> int
 val adjudicator : t -> Adjudicator.t
 
 val space : t -> Demandspace.Space.t

@@ -105,7 +105,7 @@ let simulate ~log rng ~system ~demand_count =
       match decision_table.(!n_failed).(!n_abstained) with
       | Channel.Shutdown -> ()
       | (Channel.No_action | Channel.Abstain) as verdict ->
-          if Channel.equal verdict Channel.Abstain then
+          if Core.Voting.equal_decision verdict Channel.Abstain then
             incr system_abstentions;
           incr system_failures;
           if log then

@@ -70,11 +70,6 @@ let record t ~failed =
   state t
 
 let demands_observed t = t.demands
-let failures_observed t = t.failures
-let log_likelihood_ratio t = t.log_lr
-let theta0 t = t.theta0
-let theta1 t = t.theta1
-
 let run rng ~system ~theta0 ~theta1 ~alpha ~beta ~max_demands =
   if max_demands <= 0 then
     invalid_arg "Sprt.run: max_demands must be positive";

@@ -25,14 +25,6 @@ val record : t -> failed:bool -> decision
 
 val state : t -> decision
 val demands_observed : t -> int
-val failures_observed : t -> int
-val log_likelihood_ratio : t -> float
-
-val theta0 : t -> float
-(** The acceptable PFD the test state was created with. *)
-
-val theta1 : t -> float
-(** The rejectable PFD the test state was created with. *)
 
 val run :
   Numerics.Rng.t ->

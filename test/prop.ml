@@ -40,6 +40,29 @@ let int_range lo hi =
     ~pp:Format.pp_print_int
     (fun rng -> lo + Numerics.Rng.int rng (hi - lo + 1))
 
+(* Uniform in [lo, hi); shrinks toward [lo]. *)
+let float_range lo hi =
+  if not (lo <= hi) then invalid_arg "Prop.float_range: empty range";
+  make
+    ~shrink:(fun v ->
+      List.to_seq [ lo; lo +. ((v -. lo) /. 2.0) ] |> Seq.filter (fun c -> c < v))
+    ~pp:(fun ppf v -> Format.fprintf ppf "%.17g" v)
+    (fun rng -> lo +. ((hi -. lo) *. Numerics.Rng.float rng))
+
+(* Arrays with a length drawn from [size]; shrink to shorter prefixes. *)
+let array_size size elt =
+  make
+    ~shrink:(fun a -> Seq.map (fun n -> Array.sub a 0 n) (size.shrink (Array.length a)))
+    ~pp:(fun ppf a ->
+      Format.fprintf ppf "[|@[%a@]|]"
+        (Format.pp_print_seq
+           ~pp_sep:(fun ppf () -> Format.fprintf ppf ";@ ")
+           elt.pp)
+        (Array.to_seq a))
+    (fun rng ->
+      let n = size.gen rng in
+      Array.init n (fun _ -> elt.gen rng))
+
 let pair a b =
   make
     ~shrink:(fun (x, y) ->
@@ -303,7 +326,7 @@ let adjudicator_term ?(max_depth = 3) ?(max_required = 4) () =
             (gen_term rng (depth - 1))
   in
   let shrink_term t =
-    match Simulator.Adjudicator.policy t with
+    match t with
     | Core.Voting.Vote 1 -> Seq.empty
     | Core.Voting.Vote r ->
         shrink_int_toward 1 r
@@ -313,8 +336,8 @@ let adjudicator_term ?(max_depth = 3) ?(max_required = 4) () =
         List.to_seq
           [
             Simulator.Adjudicator.one_out_of_n;
-            Simulator.Adjudicator.of_policy a;
-            Simulator.Adjudicator.of_policy b;
+            a;
+            b;
           ]
   in
   make ~shrink:shrink_term ~pp:Simulator.Adjudicator.pp (fun rng ->
@@ -352,7 +375,7 @@ let channel_outputs ?(max_channels = 6) ?(abstaining = true) () =
       Format.fprintf ppf "[@[%a@]]"
         (Format.pp_print_list
            ~pp_sep:(fun ppf () -> Format.fprintf ppf ";@ ")
-           Simulator.Channel.pp_output)
+           Core.Voting.pp_decision)
         outs)
     (fun rng ->
       let n = 1 + Numerics.Rng.int rng max_channels in
@@ -452,3 +475,9 @@ let check ?cases name t f =
          counterexample (shrunk): %a@\n\
          %s"
         name case base_seed t.pp value err
+
+(* An Alcotest case asserting a boolean property on [cases] draws. *)
+let test_case ~cases name t holds =
+  Alcotest.test_case name `Quick (fun () ->
+      check ~cases name t (fun x ->
+          if not (holds x) then failwith "property does not hold"))

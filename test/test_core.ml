@@ -580,33 +580,32 @@ let test_required_pmax_trivial () =
 (* ------------------------------------------------------------------ *)
 
 let gen_probs =
-  QCheck2.Gen.(array_size (int_range 1 15) (float_range 1e-6 0.999))
+  Prop.(array_size (int_range 1 15) (float_range 1e-6 0.999))
 
 let prop_risk_ratio_le_one =
-  QCheck2.Test.make ~name:"eq. (10): risk ratio <= 1" ~count:300 gen_probs
+  Prop.test_case ~cases:300 "eq. (10): risk ratio <= 1" gen_probs
     (fun ps ->
       let r = Core.Fault_count.risk_ratio_of_ps ps in
       r <= 1.0 +. 1e-12)
 
 let prop_mu2_le_pmax_mu1 =
-  QCheck2.Test.make ~name:"eq. (4): mu2 <= pmax*mu1" ~count:300
-    QCheck2.Gen.(
+  Prop.test_case ~cases:300 "eq. (4): mu2 <= pmax*mu1"
+    Prop.(
       array_size (int_range 1 15) (pair (float_range 1e-6 1.0) (float_range 1e-6 0.05)))
     (fun pairs ->
       let u = Core.Universe.of_pairs (Array.to_list pairs) in
       Core.Moments.mu2 u <= (Core.Universe.pmax u *. Core.Moments.mu1 u) +. 1e-15)
 
 let prop_sigma2_bound =
-  QCheck2.Test.make ~name:"eq. (9): sigma2 <= sqrt(pmax(1+pmax))*sigma1"
-    ~count:300
-    QCheck2.Gen.(
+  Prop.test_case ~cases:300 "eq. (9): sigma2 <= sqrt(pmax(1+pmax))*sigma1"
+    Prop.(
       array_size (int_range 1 15) (pair (float_range 1e-6 1.0) (float_range 1e-6 0.05)))
     (fun pairs ->
       let u = Core.Universe.of_pairs (Array.to_list pairs) in
       Core.Moments.sigma2 u <= Core.Bounds.sigma2_upper u +. 1e-15)
 
 let prop_success_ratio_identity =
-  QCheck2.Test.make ~name:"footnote 5: P(N2=0)/P(N1=0) = prod(1+p)" ~count:300
+  Prop.test_case ~cases:300 "footnote 5: P(N2=0)/P(N1=0) = prod(1+p)"
     gen_probs (fun ps ->
       let u =
         Core.Universe.of_pairs
@@ -619,14 +618,14 @@ let prop_success_ratio_identity =
       <= 1e-9 *. Core.Fault_count.success_ratio u)
 
 let prop_appendix_b =
-  QCheck2.Test.make ~name:"Appendix B: dR/dk >= 0" ~count:300
-    QCheck2.Gen.(
+  Prop.test_case ~cases:300 "Appendix B: dR/dk >= 0"
+    Prop.(
       pair (array_size (int_range 1 12) (float_range 1e-4 1.0)) (float_range 0.01 1.0))
     (fun (b, k) -> Core.Sensitivity.risk_ratio_k_derivative ~b ~k >= -1e-10)
 
 let prop_exact_dist_mean =
-  QCheck2.Test.make ~name:"exact distribution mean equals mu1" ~count:100
-    QCheck2.Gen.(
+  Prop.test_case ~cases:100 "exact distribution mean equals mu1"
+    Prop.(
       array_size (int_range 1 10) (pair (float_range 0.0 1.0) (float_range 0.0 0.09)))
     (fun pairs ->
       let u = Core.Universe.of_pairs (Array.to_list pairs) in
@@ -634,8 +633,8 @@ let prop_exact_dist_mean =
       abs_float (Core.Pfd_dist.mean d -. Core.Moments.mu1 u) < 1e-10)
 
 let prop_cdf_monotone =
-  QCheck2.Test.make ~name:"exact CDF is monotone" ~count:100
-    QCheck2.Gen.(
+  Prop.test_case ~cases:100 "exact CDF is monotone"
+    Prop.(
       triple
         (array_size (int_range 1 8) (pair (float_range 0.01 1.0) (float_range 0.001 0.1)))
         (float_range 0.0 1.0) (float_range 0.0 1.0))
@@ -646,14 +645,14 @@ let prop_cdf_monotone =
       Core.Pfd_dist.cdf d lo <= Core.Pfd_dist.cdf d hi +. 1e-12)
 
 let prop_poisson_binomial_normalised =
-  QCheck2.Test.make ~name:"poisson-binomial sums to 1" ~count:200 gen_probs
+  Prop.test_case ~cases:200 "poisson-binomial sums to 1" gen_probs
     (fun ps ->
       abs_float (Numerics.Kahan.sum_array (Core.Fault_count.poisson_binomial ps) -. 1.0)
       < 1e-10)
 
 let prop_quantile_cdf_consistency =
-  QCheck2.Test.make ~name:"quantile and CDF agree" ~count:100
-    QCheck2.Gen.(
+  Prop.test_case ~cases:100 "quantile and CDF agree"
+    Prop.(
       pair
         (array_size (int_range 1 8) (pair (float_range 0.01 1.0) (float_range 0.001 0.1)))
         (float_range 0.01 0.99))
@@ -664,18 +663,17 @@ let prop_quantile_cdf_consistency =
       Core.Pfd_dist.cdf d x >= alpha -. 1e-12)
 
 let props =
-  List.map (fun t -> QCheck_alcotest.to_alcotest t)
-    [
-      prop_risk_ratio_le_one;
-      prop_mu2_le_pmax_mu1;
-      prop_sigma2_bound;
-      prop_success_ratio_identity;
-      prop_appendix_b;
-      prop_exact_dist_mean;
-      prop_cdf_monotone;
-      prop_poisson_binomial_normalised;
-      prop_quantile_cdf_consistency;
-    ]
+  [
+    prop_risk_ratio_le_one;
+    prop_mu2_le_pmax_mu1;
+    prop_sigma2_bound;
+    prop_success_ratio_identity;
+    prop_appendix_b;
+    prop_exact_dist_mean;
+    prop_cdf_monotone;
+    prop_poisson_binomial_normalised;
+    prop_quantile_cdf_consistency;
+  ]
 
 let () =
   Alcotest.run "core"

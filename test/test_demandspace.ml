@@ -263,8 +263,8 @@ let test_genspace_crowding_raises () =
 (* ------------------------------------------------------------------ *)
 
 let prop_profile_normalised =
-  QCheck2.Test.make ~name:"profile probabilities sum to 1" ~count:100
-    QCheck2.Gen.(array_size (int_range 1 50) (float_range 0.01 10.0))
+  Prop.test_case ~cases:100 "profile probabilities sum to 1"
+    Prop.(array_size (int_range 1 50) (float_range 0.01 10.0))
     (fun weights ->
       let p = Profile.of_weights weights in
       let total =
@@ -274,8 +274,8 @@ let prop_profile_normalised =
       abs_float (total -. 1.0) < 1e-9)
 
 let prop_version_additive_ge_pfd =
-  QCheck2.Test.make ~name:"additive PFD >= true PFD" ~count:50
-    QCheck2.Gen.(int_range 0 1000)
+  Prop.test_case ~cases:50 "additive PFD >= true PFD"
+    Prop.(int_range 0 1000)
     (fun seed ->
       let rng = Numerics.Rng.create ~seed in
       let s =
@@ -289,55 +289,53 @@ let prop_version_additive_ge_pfd =
       let v = Version.create s faults in
       Version.additive_pfd v >= Version.pfd v -. 1e-12)
 
-let props =
-  List.map (fun t -> QCheck_alcotest.to_alcotest t)
-    [ prop_profile_normalised; prop_version_additive_ge_pfd ]
+let props = [ prop_profile_normalised; prop_version_additive_ge_pfd ]
 
 let () =
   Alcotest.run "demandspace"
     [
-      ( "demand",
-        [
-          Alcotest.test_case "basic" `Quick test_demand_basic;
-          Alcotest.test_case "coords" `Quick test_demand_coords;
-        ] );
-      ( "profile",
-        [
-          Alcotest.test_case "uniform" `Quick test_profile_uniform;
-          Alcotest.test_case "zipf" `Quick test_profile_zipf;
-          Alcotest.test_case "peaked" `Quick test_profile_peaked;
-          Alcotest.test_case "sampling" `Slow test_profile_sampling;
-          Alcotest.test_case "measure subset" `Quick test_profile_measure_subset;
-        ] );
-      ( "region",
-        [
-          Alcotest.test_case "points" `Quick test_region_points;
-          Alcotest.test_case "interval" `Quick test_region_interval;
-          Alcotest.test_case "box" `Quick test_region_box;
-          Alcotest.test_case "line" `Quick test_region_line;
-          Alcotest.test_case "scatter" `Quick test_region_scatter;
-          Alcotest.test_case "measure" `Quick test_region_measure;
-          Alcotest.test_case "disjoint/union" `Quick test_region_disjoint_union;
-        ] );
-      ( "space",
-        [
-          Alcotest.test_case "basic" `Quick test_space_basic;
-          Alcotest.test_case "to universe" `Quick test_space_to_universe;
-          Alcotest.test_case "overlap detection" `Quick test_space_overlap_detection;
-        ] );
-      ( "version",
-        [
-          Alcotest.test_case "basic" `Quick test_version_basic;
-          Alcotest.test_case "perfect" `Quick test_version_perfect;
-          Alcotest.test_case "pair" `Quick test_version_pair;
-          Alcotest.test_case "pair with overlap" `Quick test_version_pair_overlap;
-        ] );
-      ( "genspace",
-        [
-          Alcotest.test_case "disjoint placement" `Quick test_genspace_disjoint_placement;
-          Alcotest.test_case "disjoint space" `Quick test_genspace_disjoint_space;
-          Alcotest.test_case "fig2" `Quick test_genspace_fig2;
-          Alcotest.test_case "crowding" `Quick test_genspace_crowding_raises;
-        ] );
-      ("properties", props);
-    ]
+    ( "demand",
+      [
+        Alcotest.test_case "basic" `Quick test_demand_basic;
+        Alcotest.test_case "coords" `Quick test_demand_coords;
+      ] );
+    ( "profile",
+      [
+        Alcotest.test_case "uniform" `Quick test_profile_uniform;
+        Alcotest.test_case "zipf" `Quick test_profile_zipf;
+        Alcotest.test_case "peaked" `Quick test_profile_peaked;
+        Alcotest.test_case "sampling" `Slow test_profile_sampling;
+        Alcotest.test_case "measure subset" `Quick test_profile_measure_subset;
+      ] );
+    ( "region",
+      [
+        Alcotest.test_case "points" `Quick test_region_points;
+        Alcotest.test_case "interval" `Quick test_region_interval;
+        Alcotest.test_case "box" `Quick test_region_box;
+        Alcotest.test_case "line" `Quick test_region_line;
+        Alcotest.test_case "scatter" `Quick test_region_scatter;
+        Alcotest.test_case "measure" `Quick test_region_measure;
+        Alcotest.test_case "disjoint/union" `Quick test_region_disjoint_union;
+      ] );
+    ( "space",
+      [
+        Alcotest.test_case "basic" `Quick test_space_basic;
+        Alcotest.test_case "to universe" `Quick test_space_to_universe;
+        Alcotest.test_case "overlap detection" `Quick test_space_overlap_detection;
+      ] );
+    ( "version",
+      [
+        Alcotest.test_case "basic" `Quick test_version_basic;
+        Alcotest.test_case "perfect" `Quick test_version_perfect;
+        Alcotest.test_case "pair" `Quick test_version_pair;
+        Alcotest.test_case "pair with overlap" `Quick test_version_pair_overlap;
+      ] );
+    ( "genspace",
+      [
+        Alcotest.test_case "disjoint placement" `Quick test_genspace_disjoint_placement;
+        Alcotest.test_case "disjoint space" `Quick test_genspace_disjoint_space;
+        Alcotest.test_case "fig2" `Quick test_genspace_fig2;
+        Alcotest.test_case "crowding" `Quick test_genspace_crowding_raises;
+      ] );
+    ("properties", props);
+  ]

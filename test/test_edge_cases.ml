@@ -77,11 +77,6 @@ let test_poisson_extremes () =
   in
   check_close ~eps:0.5 "large-lambda splitting path" 50.0 (Numerics.Stats.mean big)
 
-let test_histogram_single_bin () =
-  let h = Numerics.Histogram.create ~lo:0.0 ~hi:1.0 ~bins:1 in
-  List.iter (Numerics.Histogram.add h) [ 0.0; 0.5; 1.0 ];
-  Alcotest.(check int) "everything in the one bin" 3 (Numerics.Histogram.count h 0)
-
 let test_grid_arange () =
   let a = Numerics.Grid.arange ~lo:0.0 ~hi:1.0 ~step:0.25 in
   Alcotest.(check int) "4 points strictly below hi" 4 (Array.length a);
@@ -292,7 +287,6 @@ let () =
             test_kahan_catastrophic_cancellation;
           Alcotest.test_case "logsumexp -inf" `Quick test_logsumexp_with_neg_infinity;
           Alcotest.test_case "poisson extremes" `Slow test_poisson_extremes;
-          Alcotest.test_case "histogram single bin" `Quick test_histogram_single_bin;
           Alcotest.test_case "grid arange" `Quick test_grid_arange;
         ] );
       ( "core",

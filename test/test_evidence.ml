@@ -282,6 +282,29 @@ let test_malformed_and_skipped () =
   let fc = Assessor.fleet_counts a in
   check_int "only the valid plant landed" 10 fc.Assessor.f_demands
 
+(* A runner.run line names demand ids the log writer chose: a hostile id
+   must not size the histogram. 2^40 used to make the assessor allocate
+   2^40 + 1 ints (Out_of_memory). *)
+let test_hostile_demand_id () =
+  let line =
+    "{\"event\":\"runner.run\",\"demands\":1,\"system_failures\":0,\"coincident_failures\":0,\"rng_draws\":1,\"demand_hist\":[[1099511627776,1]]}"
+  in
+  let plain = Assessor.create Assessor.default_config in
+  Assessor.ingest_line plain line;
+  check_int "accepted without a profile" 1
+    (Assessor.event_counts plain).Assessor.e_accepted;
+  check_int "no histogram without a profile" 0
+    (Array.length (Assessor.demand_counts plain));
+  let profiled = Assessor.create (config_with_profile ()) in
+  Assessor.ingest_line profiled line;
+  check_int "accepted under a profile" 1
+    (Assessor.event_counts profiled).Assessor.e_accepted;
+  check_int "histogram sized to the profile plus one" 65
+    (Array.length (Assessor.demand_counts profiled));
+  match Assessor.drift profiled with
+  | Some d -> check_int "id past the profile is impossible" 1 d.Drift.impossible
+  | None -> Alcotest.fail "drift detection should be enabled"
+
 let test_schema_parse () =
   (match
      Schema.parse_line
@@ -540,6 +563,7 @@ let () =
           Alcotest.test_case "malformed and unknown lines counted" `Quick
             test_malformed_and_skipped;
           Alcotest.test_case "event parsing" `Quick test_schema_parse;
+          Alcotest.test_case "hostile demand id" `Quick test_hostile_demand_id;
         ] );
       ( "sources",
         [

@@ -699,7 +699,7 @@ let test_fleet_reproducible () =
 (* ---- adjudication algebra: goldens, laws, legacy identity ---- *)
 
 let output_t =
-  Alcotest.testable Simulator.Channel.pp_output Simulator.Channel.equal
+  Alcotest.testable Core.Voting.pp_decision Core.Voting.equal_decision
 
 let check_output = Alcotest.check output_t
 
@@ -893,7 +893,7 @@ let test_prop_adjudication_laws () =
       let free =
         List.map
           (fun o ->
-            if Simulator.Channel.equal o Simulator.Channel.Abstain then
+            if Core.Voting.equal_decision o Simulator.Channel.Abstain then
               Simulator.Channel.No_action
             else o)
           outs

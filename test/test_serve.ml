@@ -540,6 +540,19 @@ let test_cli_unwritable_sink () =
     ];
   Sys.remove runlog
 
+(* A zero pool size or shard count is rejected while parsing, not by an
+   Invalid_argument out of the execution layer once the command runs. *)
+let test_cli_nonpositive_parallelism () =
+  List.iter expect_usage_error
+    [
+      [ "run"; "E01"; "--domains"; "0" ];
+      [ "all"; "--domains"; "0" ];
+      [ "check"; "--domains"; "0" ];
+      [ "run"; "E01"; "--shards"; "0" ];
+      [ "all"; "--shards"; "0" ];
+      [ "check"; "--shards=-3" ];
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Soak                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -785,5 +798,7 @@ let () =
             test_cli_missing_script;
           Alcotest.test_case "unwritable sink fails before the run" `Quick
             test_cli_unwritable_sink;
+          Alcotest.test_case "--domains 0 and --shards 0 are usage errors"
+            `Quick test_cli_nonpositive_parallelism;
         ] );
     ]

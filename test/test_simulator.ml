@@ -129,10 +129,12 @@ let test_protection_three_channels () =
 (* ------------------------------------------------------------------ *)
 
 let output_t =
-  Alcotest.testable Simulator.Channel.pp_output Simulator.Channel.equal
+  Alcotest.testable Core.Voting.pp_decision Core.Voting.equal_decision
 
+(* Channel outputs are Voting decisions: one equality, one printer. *)
 let test_channel_equal_pp () =
   let open Simulator.Channel in
+  let equal = Core.Voting.equal_decision and pp_output = Core.Voting.pp_decision in
   let outputs = [ Shutdown; No_action; Abstain ] in
   (* equal must agree with structural equality on the whole 3x3 table *)
   List.iter
