@@ -62,7 +62,6 @@ check:
 	dune build @bench-diff-smoke
 	dune build @evidence-smoke
 	dune build @adjudication-smoke
-	dune build @serve-smoke
 	dune build @examples-smoke
 	dune build @telemetry-smoke
 

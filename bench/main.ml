@@ -36,7 +36,7 @@ let kernel_universe n =
   Core.Universe.uniform_random rng ~n ~p_lo:0.01 ~p_hi:0.4 ~total_q:0.5
 
 (* Synthetic but schema-valid run log for the evidence-ingest kernel,
-   generated once per process through the streaming runlog writer (so
+   generated once per process through the runlog line writer (so
    the file never lives in memory) and removed at exit. Alternating
    runner.run / fleet.plant events with a small demand histogram keep
    the lines at realistic field counts without E26's 1600-bin
@@ -46,7 +46,11 @@ let evidence_log_path ~events =
     (let path = Filename.temp_file "divrel_bench_evidence" ".jsonl" in
      at_exit (fun () -> try Sys.remove path with Sys_error _ -> ());
      let oc = open_out path in
-     let log = Obs.Runlog.create_streaming oc in
+     let log =
+       Obs.Runlog.create (fun line ->
+           output_string oc line;
+           output_char oc '\n')
+     in
      Obs.Runlog.set_sink (Some log);
      Obs.Runlog.record ~kind:"run.start"
        [

@@ -9,7 +9,9 @@
    (counters, gauges, PFD histograms, RNG draw counts), --trace FILE a
    Chrome trace-event file of the nested simulator spans, --log FILE a
    JSONL structured run log. Instrumentation is off unless requested and
-   never perturbs the experiments: same seeds, same outputs.
+   never perturbs the experiments: same seeds, same outputs. An artefact
+   that cannot be written (a full disk) is reported on stderr; the
+   command still prints its output, then exits 1.
 
    Parallelism (run / all): --domains N sizes the default Exec pool
    (also settable via DIVREL_DOMAINS), --shards M sets the default
@@ -27,10 +29,9 @@ let seed_arg =
   let doc = "Random seed used by every stochastic experiment component." in
   Arg.(value & opt int 42 & info [ "s"; "seed" ] ~docv:"SEED" ~doc)
 
-(* A file the command writes once its work is done. The path is vetted
-   when the command line is parsed, so a sink that cannot be created is
-   a usage error up front rather than an exception after the whole
-   computation. *)
+(* A telemetry artefact file. The path is vetted when the command line
+   is parsed, so a sink that cannot be created is a usage error up front
+   rather than an exception after the whole computation. *)
 let out_file =
   let parse path =
     let dir = Filename.dirname path in
@@ -63,16 +64,19 @@ let log_arg =
   let doc = "Write a JSONL structured run log (one event object per line)." in
   Arg.(value & opt (some out_file) None & info [ "log" ] ~docv:"FILE" ~doc)
 
-(* Pool sizes and shard counts must be at least 1; a zero or negative
-   value is a usage error at parse time, before any work starts. *)
-let positive_int =
+(* Sizes and counts below their floor are a usage error at parse time,
+   before any work starts. *)
+let int_at_least floor ~what =
   let parse s =
     match int_of_string_opt s with
-    | Some n when n >= 1 -> Ok n
+    | Some n when n >= floor -> Ok n
     | Some _ | None ->
-        Error (`Msg (Printf.sprintf "'%s' is not a positive integer" s))
+        Error (`Msg (Printf.sprintf "'%s' is not a %s integer" s what))
   in
   Arg.conv ~docv:"N" (parse, Format.pp_print_int)
+
+let positive_int = int_at_least 1 ~what:"positive"
+let non_negative_int = int_at_least 0 ~what:"non-negative"
 
 let domains_arg =
   let doc =
@@ -96,32 +100,90 @@ let setup_parallelism domains shards =
 (* Process-wide RNG consumption, reported in the metrics snapshot. *)
 let m_rng_draws = Obs.Metrics.counter "rng.draws"
 
-let write_file path contents =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc contents)
+(* Set once a telemetry artefact could not be written. The command
+   still prints its report, then exits 1 instead of 0. *)
+let artefact_lost = ref false
 
-(* Run [f] with the telemetry sinks the flags request, then write the
-   artefacts. With all three flags absent this is just [f ()]. *)
-let with_telemetry ~label ~seed ~trace ~metrics ~log f =
+(* An open artefact. A write that fails (a full disk) closes the file;
+   that write and every later one are dropped and counted, so the run
+   goes on and [close_artefact] reports the loss. *)
+type artefact = {
+  path : string;
+  what : string;
+  mutable oc : out_channel option;
+  mutable error : string option;
+  mutable dropped : int;
+}
+
+let open_artefact ~what path =
+  match open_out path with
+  | oc -> { path; what; oc = Some oc; error = None; dropped = 0 }
+  | exception Sys_error e ->
+      { path; what; oc = None; error = Some e; dropped = 0 }
+
+(* Each write is flushed, so a failure is charged to the write that hit
+   it and [dropped] counts exactly what the file lacks. *)
+let write_artefact a s =
+  match a.oc with
+  | None -> a.dropped <- a.dropped + 1
+  | Some oc -> (
+      try
+        output_string oc s;
+        flush oc
+      with Sys_error e ->
+        close_out_noerr oc;
+        a.oc <- None;
+        a.error <- Some e;
+        a.dropped <- a.dropped + 1)
+
+(* [close_out], not [close_out_noerr]: a failing close is a lost file.
+   A failure is reported on stderr, followed by [detail a.dropped]. *)
+let close_artefact ?(detail = fun _ -> "") a =
+  (match a.oc with
+  | Some oc -> ( try close_out oc with Sys_error e -> a.error <- Some e)
+  | None -> ());
+  a.oc <- None;
+  Option.iter
+    (fun e ->
+      artefact_lost := true;
+      Printf.eprintf "divrel-experiments: cannot write %s %s: %s%s\n%!" a.what
+        a.path e (detail a.dropped))
+    a.error
+
+let write_file ~what path contents =
+  let a = open_artefact ~what path in
+  write_artefact a contents;
+  close_artefact a
+
+(* Run [f] with the telemetry sinks the flags request. The run log
+   streams into its file as events are recorded; the metrics snapshot
+   and the trace are written once [f] returns. With all three flags
+   absent this is just [f ()]. *)
+let with_telemetry ~label ?seed ~trace ~metrics ~log f =
   if trace = None && metrics = None && log = None then f ()
   else begin
     if metrics <> None then Obs.Metrics.set_enabled true;
     if trace <> None then Obs.Trace.set_enabled true;
     let runlog =
-      match log with Some _ -> Some (Obs.Runlog.create ()) | None -> None
+      Option.map
+        (fun path ->
+          let a = open_artefact ~what:"run log" path in
+          (a, Obs.Runlog.create (fun line -> write_artefact a (line ^ "\n"))))
+        log
     in
-    Obs.Runlog.set_sink runlog;
+    Obs.Runlog.set_sink (Option.map snd runlog);
+    let target =
+      ("target", Obs.Json.String label)
+      :: (match seed with Some s -> [ ("seed", Obs.Json.Int s) ] | None -> [])
+    in
     if Obs.Runlog.active () then
       Obs.Runlog.record ~kind:"run.start"
-        [
-          ("target", Obs.Json.String label);
-          ("seed", Obs.Json.Int seed);
-          (* outputs are a pure function of (seed, shards): recording the
-             effective default shard count makes a logged run replayable *)
-          ("shards", Obs.Json.Int (Exec.default_shards ()));
-        ];
+        (target
+        @ [
+            (* outputs are a pure function of (seed, shards): recording the
+               effective default shard count makes a logged run replayable *)
+            ("shards", Obs.Json.Int (Exec.default_shards ()));
+          ]);
     let draws0 = Numerics.Rng.total_draws () in
     let span = Obs.Trace.enter label in
     let result, dur_ns = Obs.Clock.timed f in
@@ -130,24 +192,25 @@ let with_telemetry ~label ~seed ~trace ~metrics ~log f =
     Obs.Metrics.add m_rng_draws draws;
     if Obs.Runlog.active () then
       Obs.Runlog.record ~kind:"run.end"
-        [
-          ("target", Obs.Json.String label);
-          ("seed", Obs.Json.Int seed);
-          ("shards", Obs.Json.Int (Exec.default_shards ()));
-          ("rng_draws", Obs.Json.Int draws);
-          ("duration_ns", Obs.Json.Int (Int64.to_int dur_ns));
-        ];
-    Option.iter (fun path -> write_file path (Obs.Metrics.render_json ())) metrics;
-    Option.iter
-      (fun path -> write_file path (Obs.Trace.render_chrome_json ()))
-      trace;
-    Option.iter
-      (fun path ->
-        match runlog with
-        | Some l -> write_file path (Obs.Runlog.to_jsonl l)
-        | None -> ())
-      log;
+        (target
+        @ [
+            ("shards", Obs.Json.Int (Exec.default_shards ()));
+            ("rng_draws", Obs.Json.Int draws);
+            ("duration_ns", Obs.Json.Int (Int64.to_int dur_ns));
+          ]);
     Obs.Runlog.set_sink None;
+    Option.iter
+      (fun (a, l) ->
+        close_artefact a ~detail:(fun dropped ->
+            Printf.sprintf " (%d of %d events not written)" dropped
+              (Obs.Runlog.size l)))
+      runlog;
+    Option.iter
+      (fun path -> write_file ~what:"metrics" path (Obs.Metrics.render_json ()))
+      metrics;
+    Option.iter
+      (fun path -> write_file ~what:"trace" path (Obs.Trace.render_chrome_json ()))
+      trace;
     Obs.Trace.set_enabled false;
     Obs.Metrics.set_enabled false;
     result
@@ -217,11 +280,11 @@ let all_cmd =
 let check_cmd =
   let cases_arg =
     let doc = "Number of randomized scenarios to sweep." in
-    Arg.(value & opt int 100 & info [ "cases" ] ~docv:"N" ~doc)
+    Arg.(value & opt positive_int 100 & info [ "cases" ] ~docv:"N" ~doc)
   in
   let replications_arg =
     let doc = "Monte-Carlo replications per scenario." in
-    Arg.(value & opt int 1200 & info [ "replications" ] ~docv:"R" ~doc)
+    Arg.(value & opt positive_int 1200 & info [ "replications" ] ~docv:"R" ~doc)
   in
   let only_arg =
     let doc =
@@ -234,9 +297,7 @@ let check_cmd =
   let run seed cases replications only trace metrics log domains shards =
     setup_logs ();
     setup_parallelism domains shards;
-    if cases < 1 then `Error (false, "--cases must be >= 1")
-    else if replications < 1 then `Error (false, "--replications must be >= 1")
-    else if
+    if
       match only with
       | None -> false
       | Some prefix ->
@@ -327,7 +388,7 @@ let evidence_cmd =
        on the log's contents). 0 ingests the whole log as one batch. The \
        final verdict is identical for every window size."
     in
-    Arg.(value & opt int 0 & info [ "window" ] ~docv:"N" ~doc)
+    Arg.(value & opt non_negative_int 0 & info [ "window" ] ~docv:"N" ~doc)
   in
   let json_arg =
     let doc =
@@ -388,86 +449,81 @@ let evidence_cmd =
   let run file window json theta0 theta1 alpha beta prior_a prior_b bound
       confidence profile drift_alpha metrics =
     setup_logs ();
-    if window < 0 then `Error (false, "--window must be >= 0")
-    else
-      let profile_result =
-        match profile with
-        | None -> Ok None
-        | Some spec -> Result.map Option.some (parse_profile spec)
-      in
-      match profile_result with
-      | Error msg -> `Error (false, msg)
-      | Ok expected_profile -> (
-          let assessor =
-            try
-              Ok
-                (Evidence.Assessor.create
-                   {
-                     Evidence.Assessor.theta0;
-                     theta1;
-                     alpha;
-                     beta;
-                     prior_a;
-                     prior_b;
-                     bound;
-                     confidence;
-                     expected_profile;
-                     drift_alpha;
-                   })
-            with Invalid_argument msg -> Error msg
-          in
-          match assessor with
-          | Error msg -> `Error (false, msg)
-          | Ok assessor ->
-              if metrics <> None then Obs.Metrics.set_enabled true;
-              let src = Evidence.Source.open_file file in
-              Fun.protect
-                ~finally:(fun () -> Evidence.Source.close src)
-                (fun () ->
-                  (* Single pass, bounded memory: at most one window (or one
-                     64k-line chunk) of the log is ever resident. *)
-                  let chunk = if window > 0 then window else 65536 in
-                  let rec drain () =
-                    let lines = ref [] in
-                    let n = ref 0 in
-                    let eof = ref false in
-                    while !n < chunk && not !eof do
-                      match Evidence.Source.next_line src with
-                      | Some line ->
-                          lines := line :: !lines;
-                          incr n
-                      | None -> eof := true
-                    done;
-                    if !n > 0 then begin
-                      Evidence.Assessor.ingest_batch assessor
-                        (List.rev !lines);
-                      if window > 0 && not json then begin
-                        let v = Evidence.Verdict.of_assessor assessor in
-                        let fleet = v.Evidence.Verdict.fleet in
-                        Printf.printf
-                          "interim @ %7d line(s): %-21s fleet %d/%d \
-                           failures/demands, P(pfd<=%g)=%.4f\n"
-                          (Evidence.Source.lines_read src)
-                          (Evidence.Verdict.overall_string
-                             v.Evidence.Verdict.overall)
-                          fleet.Evidence.Assessor.f_failures
-                          fleet.Evidence.Assessor.f_demands bound
-                          v.Evidence.Verdict.fleet_posterior
-                            .Evidence.Assessor.confidence_in_bound
-                      end;
-                      if not !eof then drain ()
-                    end
-                  in
-                  drain ());
-              let verdict = Evidence.Verdict.of_assessor assessor in
-              if json then
-                print_string (Evidence.Verdict.render_json verdict ^ "\n")
-              else print_string (Evidence.Verdict.render_text verdict);
-              Option.iter
-                (fun path -> write_file path (Obs.Metrics.render_json ()))
-                metrics;
-              if metrics <> None then Obs.Metrics.set_enabled false;
-              `Ok ())
+    let profile_result =
+      match profile with
+      | None -> Ok None
+      | Some spec -> Result.map Option.some (parse_profile spec)
+    in
+    match profile_result with
+    | Error msg -> `Error (false, msg)
+    | Ok expected_profile -> (
+        let assessor =
+          try
+            Ok
+              (Evidence.Assessor.create
+                 {
+                   Evidence.Assessor.theta0;
+                   theta1;
+                   alpha;
+                   beta;
+                   prior_a;
+                   prior_b;
+                   bound;
+                   confidence;
+                   expected_profile;
+                   drift_alpha;
+                 })
+          with Invalid_argument msg -> Error msg
+        in
+        match assessor with
+        | Error msg -> `Error (false, msg)
+        | Ok assessor ->
+            with_telemetry ~label:"evidence" ~trace:None ~metrics ~log:None
+              (fun () ->
+                let src = Evidence.Source.open_file file in
+                Fun.protect
+                  ~finally:(fun () -> Evidence.Source.close src)
+                  (fun () ->
+                    (* Single pass, bounded memory: at most one window (or one
+                       64k-line chunk) of the log is ever resident. *)
+                    let chunk = if window > 0 then window else 65536 in
+                    let rec drain () =
+                      let lines = ref [] in
+                      let n = ref 0 in
+                      let eof = ref false in
+                      while !n < chunk && not !eof do
+                        match Evidence.Source.next_line src with
+                        | Some line ->
+                            lines := line :: !lines;
+                            incr n
+                        | None -> eof := true
+                      done;
+                      if !n > 0 then begin
+                        Evidence.Assessor.ingest_batch assessor
+                          (List.rev !lines);
+                        if window > 0 && not json then begin
+                          let v = Evidence.Verdict.of_assessor assessor in
+                          let fleet = v.Evidence.Verdict.fleet in
+                          Printf.printf
+                            "interim @ %7d line(s): %-21s fleet %d/%d \
+                             failures/demands, P(pfd<=%g)=%.4f\n"
+                            (Evidence.Source.lines_read src)
+                            (Evidence.Verdict.overall_string
+                               v.Evidence.Verdict.overall)
+                            fleet.Evidence.Assessor.f_failures
+                            fleet.Evidence.Assessor.f_demands bound
+                            v.Evidence.Verdict.fleet_posterior
+                              .Evidence.Assessor.confidence_in_bound
+                        end;
+                        if not !eof then drain ()
+                      end
+                    in
+                    drain ());
+                let verdict = Evidence.Verdict.of_assessor assessor in
+                if json then
+                  print_string (Evidence.Verdict.render_json verdict ^ "\n")
+                else print_string (Evidence.Verdict.render_text verdict));
+            `Ok ())
   in
   Cmd.v
     (Cmd.info "evidence"
@@ -544,196 +600,58 @@ let script_arg =
   let doc = "Request script: one JSON request per line ('-' for stdin)." in
   Arg.(value & pos 0 script_file "-" & info [] ~docv:"SCRIPT" ~doc)
 
-(* In-process smoke test: daemon on a private Unix socket in a thread, a
-   scripted client through the public codec, every served response
-   compared byte-for-byte against a direct [Engine.eval]. *)
-let serve_selftest ~workers ~queue_depth ~batch ~seed =
-  let path = Filename.temp_file "divrel-serve" ".sock" in
-  let config =
-    {
-      Serve.Server.listen = Serve.Server.Unix_path path;
-      workers;
-      queue_capacity = queue_depth;
-      batch_max = batch;
-      seed;
-    }
-  in
-  let stats_slot = ref None in
-  let server =
-    Thread.create (fun () -> stats_slot := Some (Serve.Server.serve config)) ()
-  in
-  let failures = ref 0 in
-  let fail fmt =
-    Printf.ksprintf
-      (fun s ->
-        incr failures;
-        Printf.eprintf "serve selftest: %s\n" s)
-      fmt
-  in
-  let u = { Serve.Proto.ps = [| 0.1; 0.02; 0.3 |]; qs = [| 1e-3; 1e-4; 5e-3 |] } in
-  let work =
-    [
-      { Serve.Proto.id = "t1"; u; verb = Serve.Proto.Moments };
-      {
-        Serve.Proto.id = "t2";
-        u;
-        verb = Serve.Proto.Risk_ratio { channels = 2; required = 1 };
-      };
-      {
-        Serve.Proto.id = "t3";
-        u;
-        verb = Serve.Proto.Pfd_dist { channels = 2; required = 1; bins = 0 };
-      };
-      {
-        Serve.Proto.id = "t4";
-        u;
-        verb =
-          Serve.Proto.Fleet_mission
-            {
-              plants = 8;
-              demands_per_plant = 200;
-              mission_demands = 1000;
-              salt = 1;
-              shards = 4;
-              space = 512;
-            };
-      };
-    ]
-  in
-  let client = Serve.Client.connect (Serve.Server.Unix_path path) in
-  List.iter
-    (fun r ->
-      let expect = Serve.Engine.eval ~seed r in
-      match Serve.Client.round_trip client (Serve.Proto.render_request r) with
-      | Some got when String.equal got expect -> ()
-      | Some got ->
-          fail "%s: daemon differs from direct evaluation\n  daemon: %s\n  direct: %s"
-            r.Serve.Proto.id got expect
-      | None -> fail "%s: connection closed early" r.Serve.Proto.id)
-    work;
-  (match Serve.Client.round_trip client "{ not json" with
-  | Some line -> (
-      match Serve.Proto.parse_response line with
-      | Ok resp
-        when (not resp.Serve.Proto.resp_ok)
-             && resp.Serve.Proto.resp_error = Some "parse" ->
-          ()
-      | _ -> fail "malformed line not answered with a parse error: %s" line)
-  | None -> fail "malformed line: connection closed early");
-  (match
-     Serve.Client.round_trip client
-       (Serve.Proto.render_admin ~id:"s1" Serve.Proto.Stats)
-   with
-  | Some line -> (
-      match Serve.Proto.parse_response line with
-      | Ok resp when resp.Serve.Proto.resp_ok -> (
-          match
-            Option.bind resp.Serve.Proto.resp_body (fun b ->
-                Option.bind (Obs.Json.member "served" b) Obs.Json.to_int)
-          with
-          | Some 4 -> ()
-          | _ -> fail "stats body did not report served=4: %s" line)
-      | _ -> fail "stats request failed: %s" line)
-  | None -> fail "stats: connection closed early");
-  (match
-     Serve.Client.round_trip client
-       (Serve.Proto.render_admin ~id:"s2" Serve.Proto.Shutdown)
-   with
-  | Some line -> (
-      match Serve.Proto.parse_response line with
-      | Ok resp when resp.Serve.Proto.resp_ok -> ()
-      | _ -> fail "shutdown request failed: %s" line)
-  | None -> fail "shutdown: connection closed early");
-  Serve.Client.close client;
-  Thread.join server;
-  (match !stats_slot with
-  | Some st
-    when st.Serve.Server.served = 4
-         && st.Serve.Server.malformed = 1
-         && st.Serve.Server.rejected = 0 ->
-      ()
-  | Some st ->
-      fail "session stats off: served=%d rejected=%d malformed=%d"
-        st.Serve.Server.served st.Serve.Server.rejected
-        st.Serve.Server.malformed
-  | None -> fail "server thread returned no stats");
-  if !failures = 0 then begin
-    Printf.printf
-      "serve selftest: ok (4 verbs byte-identical to direct evaluation, \
-       malformed counted, stats/shutdown clean; workers=%d)\n"
-      workers;
-    `Ok ()
-  end
-  else `Error (false, Printf.sprintf "serve selftest: %d failure(s)" !failures)
-
 let serve_cmd =
   let workers_arg =
     let doc =
       "Dispatcher pool size. Responses are byte-identical for any value."
     in
-    Arg.(value & opt int 1 & info [ "workers" ] ~docv:"N" ~doc)
+    Arg.(value & opt positive_int 1 & info [ "workers" ] ~docv:"N" ~doc)
   in
   let queue_arg =
     let doc =
       "Admission queue capacity; past it requests are rejected with a busy \
        line carrying retry_after_ms."
     in
-    Arg.(value & opt int 64 & info [ "queue-depth" ] ~docv:"D" ~doc)
+    Arg.(value & opt positive_int 64 & info [ "queue-depth" ] ~docv:"D" ~doc)
   in
   let batch_arg =
     let doc = "Most requests dispatched per pool batch." in
-    Arg.(value & opt int 8 & info [ "batch" ] ~docv:"B" ~doc)
+    Arg.(value & opt positive_int 8 & info [ "batch" ] ~docv:"B" ~doc)
   in
-  let selftest_arg =
-    let doc =
-      "Run an in-process smoke test instead of serving: daemon on a private \
-       Unix socket, scripted client, byte-identity against direct \
-       evaluation. Exits non-zero on any mismatch."
-    in
-    Arg.(value & flag & info [ "selftest" ] ~doc)
-  in
-  let run socket port workers queue_depth batch seed selftest metrics =
+  let run socket port workers queue_depth batch seed metrics =
     setup_logs ();
-    if workers < 1 then `Error (false, "--workers must be >= 1")
-    else if queue_depth < 1 then `Error (false, "--queue-depth must be >= 1")
-    else if batch < 1 then `Error (false, "--batch must be >= 1")
-    else if selftest then serve_selftest ~workers ~queue_depth ~batch ~seed
-    else
-      match listen_of_flags socket port with
-      | Error msg -> `Error (false, msg)
-      | Ok listen ->
-          let config =
-            {
-              Serve.Server.listen;
-              workers;
-              queue_capacity = queue_depth;
-              batch_max = batch;
-              seed;
-            }
-          in
-          if metrics <> None then Obs.Metrics.set_enabled true;
-          let on_ready port =
-            (match port with
-            | Some p -> Printf.printf "serve: listening tcp port=%d\n" p
-            | None ->
-                Printf.printf "serve: listening socket=%s\n"
-                  (match listen with
-                  | Serve.Server.Unix_path p -> p
-                  | Serve.Server.Tcp_port _ -> assert false));
-            flush stdout
-          in
-          let stats = Serve.Server.serve ~on_ready config in
-          Printf.printf
-            "serve: done served=%d rejected=%d malformed=%d batches=%d \
-             draws=%d\n"
-            stats.Serve.Server.served stats.Serve.Server.rejected
-            stats.Serve.Server.malformed stats.Serve.Server.batches
-            stats.Serve.Server.draws_total;
-          Option.iter
-            (fun path -> write_file path (Obs.Metrics.render_json ()))
-            metrics;
-          if metrics <> None then Obs.Metrics.set_enabled false;
-          `Ok ()
+    match listen_of_flags socket port with
+    | Error msg -> `Error (false, msg)
+    | Ok listen ->
+        let config =
+          {
+            Serve.Server.listen;
+            workers;
+            queue_capacity = queue_depth;
+            batch_max = batch;
+            seed;
+          }
+        in
+        let on_ready port =
+          (match port with
+          | Some p -> Printf.printf "serve: listening tcp port=%d\n" p
+          | None ->
+              Printf.printf "serve: listening socket=%s\n"
+                (match listen with
+                | Serve.Server.Unix_path p -> p
+                | Serve.Server.Tcp_port _ -> assert false));
+          flush stdout
+        in
+        with_telemetry ~label:"serve" ~seed ~trace:None ~metrics ~log:None
+          (fun () ->
+            let stats = Serve.Server.serve ~on_ready config in
+            Printf.printf
+              "serve: done served=%d rejected=%d malformed=%d batches=%d \
+               draws=%d\n"
+              stats.Serve.Server.served stats.Serve.Server.rejected
+              stats.Serve.Server.malformed stats.Serve.Server.batches
+              stats.Serve.Server.draws_total);
+        `Ok ()
   in
   Cmd.v
     (Cmd.info "serve"
@@ -747,7 +665,7 @@ let serve_cmd =
     Term.(
       ret
         (const run $ socket_arg $ port_arg $ workers_arg $ queue_arg
-       $ batch_arg $ seed_arg $ selftest_arg $ metrics_arg))
+       $ batch_arg $ seed_arg $ metrics_arg))
 
 let serve_client_cmd =
   let pipeline_arg =
@@ -850,4 +768,7 @@ let main =
       assess_cmd;
     ]
 
-let () = exit (Cmd.eval main)
+let () =
+  match Cmd.eval main with
+  | 0 when !artefact_lost -> exit 1
+  | code -> exit code

@@ -1,7 +1,7 @@
 (** Streaming proven-in-use assessor over the JSONL run log.
 
-    Ingests run-log events (from a file read incrementally, or an
-    in-memory {!Obs.Runlog.t}) in one pass, maintaining per-plant and
+    Ingests run-log lines (read incrementally through {!Source}, or
+    handed over one at a time) in one pass, maintaining per-plant and
     per-fleet counters only; every judgement — Bayesian posterior PFD
     bounds (conjugate Beta, {!Extensions.Beta_prior}), the Wald
     ("SPRT-style") accept/reject boundary re-evaluated on the aggregate
@@ -52,9 +52,6 @@ val ingest_line : t -> string -> unit
     the [evidence.*] metrics), not fatal. *)
 
 val ingest_parsed : t -> Schema.parsed -> unit
-
-val ingest_runlog : t -> Obs.Runlog.t -> unit
-(** Ingest an in-memory run log in append order. *)
 
 val ingest_batch : t -> string list -> unit
 (** Ingest a batch of lines, timing the batch and feeding the

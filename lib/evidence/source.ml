@@ -1,11 +1,8 @@
-(* Resumable line cursor over a run-log file.
+(* Line cursor over a run-log file.
 
    The assessor must handle run logs far larger than memory, so the
-   source hands out one line at a time from a channel and exposes the
-   byte offset after each line. A consumer that stops mid-file (e.g. a
-   windowed CLI run, or a monitor polling a growing log) can reopen the
-   file later and [resume] from the saved offset without re-reading the
-   prefix. *)
+   source hands out one line at a time from a channel and never holds
+   more than the current line. *)
 
 type t = {
   ic : in_channel;
@@ -21,9 +18,7 @@ let next_line t =
       Some line
   | None -> None
 
-let offset t = pos_in t.ic
 let lines_read t = t.lines
-let resume t ~offset = seek_in t.ic offset
 
 let close t = close_in t.ic
 

@@ -1,13 +1,12 @@
-(** Resumable line cursor over a run-log file.
+(** Line cursor over a run-log file.
 
-    Reads a JSONL run log one line at a time — never the whole file —
-    and exposes the byte offset after each line so a consumer can stop,
-    reopen the file later, and {!resume} where it left off. *)
+    Reads a JSONL run log one line at a time — never the whole file — so
+    a log far larger than memory is ingested in one bounded pass. *)
 
 type t
 
 val open_file : string -> t
-(** Opens the file in binary mode (offsets are byte-exact). Raises
+(** Opens the file in binary mode. Raises
     [Sys_error] if the file cannot be opened. The channel is closed by
     {!close}. *)
 
@@ -16,16 +15,8 @@ val next_line : t -> string option
     file can be polled: once the writer appends more lines, [next_line]
     returns them. *)
 
-val offset : t -> int
-(** Current byte offset (the position the next {!next_line} reads
-    from). Persist it to resume after reopening. *)
-
-val resume : t -> offset:int -> unit
-(** Seek to a byte offset previously returned by {!offset}. *)
-
 val lines_read : t -> int
-(** Lines handed out by this cursor since creation (not affected by
-    {!resume}). *)
+(** Lines handed out by this cursor since creation. *)
 
 val iter_lines : t -> f:(string -> unit) -> unit
 

@@ -36,15 +36,15 @@ let small_space () =
     ~faults
 
 (* Deploy and observe a fleet with the run-log sink active, exactly as
-   the CLI does with --log, and return the captured log next to the
+   the CLI does with --log, and return the captured lines next to the
    in-process observation for reconciliation. ~shards:1 keeps the event
    order deterministic (sharded observation records runner.run events
    from worker domains). *)
 let fleet_log ~seed ~plants ~demands_per_plant =
   let space = small_space () in
   let rng = Numerics.Rng.create ~seed in
-  let log = Runlog.create () in
-  Runlog.set_sink (Some log);
+  let lines = ref [] in
+  Runlog.set_sink (Some (Runlog.create (fun l -> lines := l :: !lines)));
   let fleet =
     Fun.protect
       ~finally:(fun () -> Runlog.set_sink None)
@@ -69,11 +69,16 @@ let fleet_log ~seed ~plants ~demands_per_plant =
           ];
         fleet)
   in
-  (log, fleet)
+  (List.rev !lines, fleet)
 
-let log_lines log =
-  Runlog.to_jsonl log |> String.split_on_char '\n'
-  |> List.filter (fun l -> l <> "")
+let write_lines path lines =
+  let oc = open_out path in
+  List.iter
+    (fun l ->
+      output_string oc l;
+      output_char oc '\n')
+    lines;
+  close_out oc
 
 let uniform_profile size =
   Demandspace.Profile.probabilities (Demandspace.Profile.uniform ~size)
@@ -94,8 +99,7 @@ let verdict_of_lines config lines =
 (* ------------------------------------------------------------------ *)
 
 let test_windowed_equals_batch () =
-  let log, _fleet = fleet_log ~seed:11 ~plants:6 ~demands_per_plant:300 in
-  let lines = log_lines log in
+  let lines, _fleet = fleet_log ~seed:11 ~plants:6 ~demands_per_plant:300 in
   let n = List.length lines in
   let config = config_with_profile () in
   let batch = verdict_of_lines config lines in
@@ -123,8 +127,8 @@ let test_windowed_equals_batch () =
         Alcotest.failf "window %d diverges from the batch verdict" w)
 
 let test_random_split_points () =
-  let log, _fleet = fleet_log ~seed:12 ~plants:5 ~demands_per_plant:250 in
-  let lines = Array.of_list (log_lines log) in
+  let lines, _fleet = fleet_log ~seed:12 ~plants:5 ~demands_per_plant:250 in
+  let lines = Array.of_list lines in
   let n = Array.length lines in
   let config = config_with_profile () in
   let batch = verdict_of_lines config (Array.to_list lines) in
@@ -147,9 +151,9 @@ let test_random_split_points () =
 
 let test_reconciles_with_fleet_observe () =
   let plants = 7 and demands_per_plant = 400 in
-  let log, fleet = fleet_log ~seed:42 ~plants ~demands_per_plant in
+  let lines, fleet = fleet_log ~seed:42 ~plants ~demands_per_plant in
   let a = Assessor.create (config_with_profile ()) in
-  Assessor.ingest_runlog a log;
+  List.iter (Assessor.ingest_line a) lines;
   let fc = Assessor.fleet_counts a in
   check_int "plants" plants fc.Assessor.f_plants;
   check_int "fleet demands" (plants * demands_per_plant) fc.Assessor.f_demands;
@@ -239,7 +243,7 @@ let test_drift_impossible_demands () =
 let test_drift_alarm_rejects_verdict () =
   (* End to end: a fleet log assessed under the wrong declared profile
      is rejected for drift regardless of its failure record. *)
-  let log, _fleet = fleet_log ~seed:13 ~plants:6 ~demands_per_plant:2_000 in
+  let lines, _fleet = fleet_log ~seed:13 ~plants:6 ~demands_per_plant:2_000 in
   let config =
     {
       Assessor.default_config with
@@ -250,7 +254,7 @@ let test_drift_alarm_rejects_verdict () =
     }
   in
   let a = Assessor.create config in
-  Assessor.ingest_runlog a log;
+  List.iter (Assessor.ingest_line a) lines;
   let v = Verdict.of_assessor a in
   (match v.Verdict.drift with
   | Some d -> check_bool "drift alarm raised" true d.Drift.alarm
@@ -323,7 +327,7 @@ let test_schema_parse () =
   | _ -> Alcotest.fail "non-string event should be Malformed"
 
 (* ------------------------------------------------------------------ *)
-(* File sources: streaming writer, cursor, resume                     *)
+(* File sources: streaming writer, file cursor                        *)
 (* ------------------------------------------------------------------ *)
 
 let with_temp_file f =
@@ -333,7 +337,11 @@ let with_temp_file f =
 let test_streaming_writer () =
   with_temp_file (fun path ->
       let oc = open_out path in
-      let log = Runlog.create_streaming oc in
+      let log =
+        Runlog.create (fun l ->
+            output_string oc l;
+            output_char oc '\n')
+      in
       Runlog.set_sink (Some log);
       Fun.protect
         ~finally:(fun () -> Runlog.set_sink None)
@@ -343,11 +351,6 @@ let test_streaming_writer () =
           Runlog.record ~kind:"gamma" [ ("y", Obs.Json.Float 0.5) ]);
       close_out oc;
       check_int "streaming log counts events" 3 (Runlog.size log);
-      (* the in-memory accessors refuse: events went straight to disk *)
-      (try
-         ignore (Runlog.to_jsonl log);
-         Alcotest.fail "to_jsonl should refuse on a streaming log"
-       with Invalid_argument _ -> ());
       let ic = open_in path in
       let lines = ref [] in
       let rec read () =
@@ -368,52 +371,19 @@ let test_streaming_writer () =
           | Error e -> Alcotest.failf "invalid JSONL line (%s): %s" e line)
         lines)
 
-let test_file_matches_memory () =
-  let log, _fleet = fleet_log ~seed:17 ~plants:4 ~demands_per_plant:150 in
+let test_file_matches_lines () =
+  let lines, _fleet = fleet_log ~seed:17 ~plants:4 ~demands_per_plant:150 in
   let config = config_with_profile () in
-  let from_memory =
-    let a = Assessor.create config in
-    Assessor.ingest_runlog a log;
-    Verdict.render_json (Verdict.of_assessor a)
-  in
+  let from_lines = verdict_of_lines config lines in
   with_temp_file (fun path ->
-      let oc = open_out path in
-      Runlog.output_jsonl log oc;
-      close_out oc;
+      write_lines path lines;
       let a = Assessor.create config in
       let src = Source.open_file path in
       Fun.protect
         ~finally:(fun () -> Source.close src)
         (fun () -> Source.iter_lines src ~f:(Assessor.ingest_line a));
-      check_string "file ingest == in-memory ingest" from_memory
+      check_string "file ingest == line ingest" from_lines
         (Verdict.render_json (Verdict.of_assessor a)))
-
-let test_source_resume () =
-  with_temp_file (fun path ->
-      let oc = open_out path in
-      for i = 1 to 5 do
-        Printf.fprintf oc "{\"event\":\"line\",\"i\":%d}\n" i
-      done;
-      close_out oc;
-      let src = Source.open_file path in
-      let line1 = Source.next_line src in
-      let _line2 = Source.next_line src in
-      let offset = Source.offset src in
-      let rest cursor =
-        let out = ref [] in
-        Source.iter_lines cursor ~f:(fun l -> out := l :: !out);
-        List.rev !out
-      in
-      let tail_first = rest src in
-      check_int "read the tail" 3 (List.length tail_first);
-      Source.close src;
-      (* a fresh cursor resumed at the saved offset sees the same tail *)
-      let src2 = Source.open_file path in
-      Source.resume src2 ~offset;
-      let tail_resumed = rest src2 in
-      Source.close src2;
-      check_bool "first line read" true (line1 <> None);
-      check_bool "resumed tail identical" true (tail_first = tail_resumed))
 
 (* ------------------------------------------------------------------ *)
 (* Wald boundary and posterior sanity                                 *)
@@ -451,8 +421,8 @@ let test_posterior_of_counts () =
 let golden_path = "golden/evidence_seed42.json"
 
 let test_golden_verdict () =
-  let log, _fleet = fleet_log ~seed:42 ~plants:4 ~demands_per_plant:200 in
-  let got = verdict_of_lines (config_with_profile ()) (log_lines log) ^ "\n" in
+  let lines, _fleet = fleet_log ~seed:42 ~plants:4 ~demands_per_plant:200 in
+  let got = verdict_of_lines (config_with_profile ()) lines ^ "\n" in
   let ic = open_in_bin golden_path in
   let n = in_channel_length ic in
   let expected = really_input_string ic n in
@@ -477,11 +447,9 @@ let read_file path =
   s
 
 let test_cli_window_byte_identity () =
-  let log, _fleet = fleet_log ~seed:42 ~plants:5 ~demands_per_plant:300 in
+  let lines, _fleet = fleet_log ~seed:42 ~plants:5 ~demands_per_plant:300 in
   with_temp_file (fun log_path ->
-      let oc = open_out log_path in
-      Runlog.output_jsonl log oc;
-      close_out oc;
+      write_lines log_path lines;
       let verdict window =
         with_temp_file (fun out_path ->
             let args =
@@ -526,9 +494,9 @@ let test_cli_window_byte_identity () =
      EVIDENCE_PRINT_GOLDEN=1 ./test_evidence.exe > test/golden/evidence_seed42.json *)
 let () =
   if Sys.getenv_opt "EVIDENCE_PRINT_GOLDEN" <> None then begin
-    let log, _fleet = fleet_log ~seed:42 ~plants:4 ~demands_per_plant:200 in
+    let lines, _fleet = fleet_log ~seed:42 ~plants:4 ~demands_per_plant:200 in
     print_string
-      (verdict_of_lines (config_with_profile ()) (log_lines log) ^ "\n");
+      (verdict_of_lines (config_with_profile ()) lines ^ "\n");
     exit 0
   end
 
@@ -569,10 +537,8 @@ let () =
         [
           Alcotest.test_case "streaming runlog writer" `Quick
             test_streaming_writer;
-          Alcotest.test_case "file ingest == in-memory ingest" `Quick
-            test_file_matches_memory;
-          Alcotest.test_case "cursor offset and resume" `Quick
-            test_source_resume;
+          Alcotest.test_case "file ingest == line ingest" `Quick
+            test_file_matches_lines;
         ] );
       ( "judgements",
         [

@@ -360,18 +360,18 @@ let test_runlog () =
   Runlog.set_sink None;
   check_bool "inactive without a sink" true (not (Runlog.active ()));
   Runlog.record ~kind:"dropped" [ ("x", Json.Int 1) ];
-  let log = Runlog.create () in
+  let lines = ref [] in
+  let log = Runlog.create (fun l -> lines := l :: !lines) in
   Runlog.set_sink (Some log);
   Fun.protect ~finally:(fun () -> Runlog.set_sink None) (fun () ->
       check_bool "active with a sink" true (Runlog.active ());
       Runlog.record ~kind:"alpha" [ ("pfd", Json.Float 1e-6) ];
       Runlog.record ~kind:"beta" [];
       check_int "both events captured, dropped one lost" 2 (Runlog.size log);
-      let lines =
-        Runlog.to_jsonl log |> String.split_on_char '\n'
-        |> List.filter (fun l -> l <> "")
-      in
+      let lines = List.rev !lines in
       check_int "one line per event" 2 (List.length lines);
+      check_bool "no line terminator" true
+        (List.for_all (fun l -> not (String.contains l '\n')) lines);
       let docs = List.map (parse_ok "runlog line") lines in
       List.iteri
         (fun i doc ->
@@ -387,7 +387,26 @@ let test_runlog () =
       | first :: _ ->
           check_bool "payload fields preserved" true
             (Option.bind (Json.member "pfd" first) Json.to_float = Some 1e-6)
-      | [] -> ())
+      | [] -> ());
+  (* A writer that raises must not leave the log's mutex held: OCaml 5
+     mutexes are error-checking, so the next record would fail. *)
+  let fail_next = ref true in
+  let failing =
+    Runlog.create (fun _ ->
+        if !fail_next then begin
+          fail_next := false;
+          raise (Sys_error "full")
+        end)
+  in
+  Runlog.set_sink (Some failing);
+  Fun.protect ~finally:(fun () -> Runlog.set_sink None) (fun () ->
+      (try
+         Runlog.record ~kind:"lost" [];
+         Alcotest.fail "the writer's exception should reach the caller"
+       with Sys_error _ -> ());
+      Runlog.record ~kind:"kept" [];
+      Runlog.record_all ~kind:"kept" [ []; [] ];
+      check_int "records after a failed write" 4 (Runlog.size failing))
 
 (* ------------------------------------------------------------------ *)
 (* Clock                                                              *)

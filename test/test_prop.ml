@@ -212,12 +212,12 @@ let test_golden_runner_voted () =
     s.Simulator.Runner.channel_failures;
   check_int "draws" 4000 (Rng.draws rng)
 
-(* Run [f] with metrics enabled (from zero) and an in-memory run log
-   installed; returns its result, the run-log events rendered without
-   their [t_ns] timestamps, and the metrics snapshot. *)
+(* Run [f] with metrics enabled (from zero) and a run log capturing its
+   lines installed; returns its result, the run-log events re-rendered
+   without their [t_ns] timestamps, and the metrics snapshot. *)
 let with_telemetry f =
-  let log = Obs.Runlog.create () in
-  Obs.Runlog.set_sink (Some log);
+  let lines = ref [] in
+  Obs.Runlog.set_sink (Some (Obs.Runlog.create (fun l -> lines := l :: !lines)));
   Obs.Metrics.reset_values ();
   Obs.Metrics.set_enabled true;
   let result =
@@ -227,13 +227,15 @@ let with_telemetry f =
         Obs.Runlog.set_sink None)
       f
   in
-  let untimed = function
-    | Obs.Json.Obj fields ->
-        Obs.Json.Obj (List.filter (fun (k, _) -> k <> "t_ns") fields)
-    | event -> event
+  let untimed line =
+    match Obs.Json.parse line with
+    | Ok (Obs.Json.Obj fields) ->
+        Obs.Json.render
+          (Obs.Json.Obj (List.filter (fun (k, _) -> k <> "t_ns") fields))
+    | Ok _ | Error _ -> Alcotest.failf "run-log line is not an object: %s" line
   in
   ( result,
-    List.map (fun e -> Obs.Json.render (untimed e)) (Obs.Runlog.events log),
+    List.rev_map untimed !lines,
     Obs.Metrics.snapshot () )
 
 let histogram_sum snapshot name =

@@ -21,7 +21,7 @@ let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_string = Alcotest.(check string)
 
-(* The selftest universe: three faults, mixed creation probabilities,
+(* The test universe: three faults, mixed creation probabilities,
    small disjoint failure regions. *)
 let u3 : Proto.universe_spec =
   { ps = [| 0.1; 0.02; 0.3 |]; qs = [| 1.0e-3; 1.0e-4; 5.0e-3 |] }
@@ -494,16 +494,22 @@ let test_daemon_vs_assess () =
         [ 1; 2 ])
     [ 42; 271828 ]
 
-(* Run the CLI once with stdout and stderr captured together; returns
-   the exit code and the output. *)
-let run_cli args =
+(* Run the CLI once; returns the exit code, stdout and stderr. *)
+let run_cli_split args =
   let out = Filename.temp_file "serve-cli" ".out" in
+  let err = Filename.temp_file "serve-cli" ".err" in
   let rc =
-    Sys.command (Filename.quote_command cli_exe args ~stdout:out ~stderr:out)
+    Sys.command (Filename.quote_command cli_exe args ~stdout:out ~stderr:err)
   in
-  let text = read_file out in
+  let stdout = read_file out and stderr = read_file err in
   Sys.remove out;
-  (rc, text)
+  Sys.remove err;
+  (rc, stdout, stderr)
+
+(* The same with stdout and stderr taken together. *)
+let run_cli args =
+  let rc, stdout, stderr = run_cli_split args in
+  (rc, stdout ^ stderr)
 
 let contains haystack needle =
   let nl = String.length needle and hl = String.length haystack in
@@ -525,8 +531,8 @@ let test_cli_missing_script () =
   expect_usage_error [ "serve-client"; "--socket"; temp_socket (); missing ]
 
 (* The sinks are vetted before the computation starts: each case would
-   otherwise run the experiments (or the daemon selftest) first and only
-   then die writing the artefact. *)
+   otherwise run the experiments (or serve until shutdown) first and
+   only then die writing the artefact. *)
 let test_cli_unwritable_sink () =
   let runlog = Filename.temp_file "serve-cli" ".jsonl" in
   List.iter expect_usage_error
@@ -536,13 +542,56 @@ let test_cli_unwritable_sink () =
       [ "run"; "E01"; "--log"; missing ];
       [ "all"; "--metrics"; missing ];
       [ "evidence"; "--metrics"; missing; runlog ];
-      [ "serve"; "--selftest"; "--metrics"; missing ];
+      [ "serve"; "--metrics"; missing ];
     ];
   Sys.remove runlog
 
-(* A zero pool size or shard count is rejected while parsing, not by an
-   Invalid_argument out of the execution layer once the command runs. *)
+(* A sink that opens but cannot take the bytes (a full disk) loses the
+   artefact, not the run: the report still reaches stdout, stderr names
+   the file and the error, and the command exits 1 — never 0 with
+   nothing written, never 125 from an uncaught Sys_error. *)
+let test_cli_full_sink () =
+  if Sys.file_exists "/dev/full" then begin
+    let _, report, _ = run_cli_split [ "run"; "E01" ] in
+    let _, fleet_report, _ = run_cli_split [ "run"; "E26" ] in
+    let runlog = Filename.temp_file "serve-cli" ".jsonl" in
+    let cases =
+      [
+        ([ "run"; "E01"; "--metrics"; "/dev/full" ], "metrics", Some report);
+        ([ "run"; "E01"; "--trace"; "/dev/full" ], "trace", Some report);
+        ( [ "run"; "E01"; "--log"; "/dev/full" ],
+          "2 of 2 events not written",
+          Some report );
+        (* the fleet campaign fails on its first event and keeps going *)
+        ( [ "run"; "E26"; "--log"; "/dev/full" ],
+          "1604 of 1604 events not written",
+          Some fleet_report );
+        ([ "evidence"; "--metrics"; "/dev/full"; runlog ], "metrics", None);
+      ]
+    in
+    List.iter
+      (fun (args, what, expected_stdout) ->
+        let name = String.concat " " args in
+        let rc, stdout, stderr = run_cli_split args in
+        check_int (name ^ ": exit code") 1 rc;
+        Option.iter
+          (fun report -> check_string (name ^ ": report on stdout") report stdout)
+          expected_stdout;
+        List.iter
+          (fun needle ->
+            check_bool
+              (Printf.sprintf "%s: stderr names %S" name needle)
+              true (contains stderr needle))
+          [ "/dev/full"; "No space left on device"; what ])
+      cases;
+    Sys.remove runlog
+  end
+
+(* A count below its floor (pool size, shard count, worker count, case
+   count, window) is rejected while parsing, not by an Invalid_argument
+   out of the execution layer once the command runs. *)
 let test_cli_nonpositive_parallelism () =
+  let runlog = Filename.temp_file "serve-cli" ".jsonl" in
   List.iter expect_usage_error
     [
       [ "run"; "E01"; "--domains"; "0" ];
@@ -551,7 +600,11 @@ let test_cli_nonpositive_parallelism () =
       [ "run"; "E01"; "--shards"; "0" ];
       [ "all"; "--shards"; "0" ];
       [ "check"; "--shards=-3" ];
-    ]
+      [ "serve"; "--workers"; "0" ];
+      [ "check"; "--cases"; "0" ];
+      [ "evidence"; runlog; "--window=-1" ];
+    ];
+  Sys.remove runlog
 
 (* ------------------------------------------------------------------ *)
 (* Soak                                                               *)
@@ -800,5 +853,7 @@ let () =
             test_cli_unwritable_sink;
           Alcotest.test_case "--domains 0 and --shards 0 are usage errors"
             `Quick test_cli_nonpositive_parallelism;
+          Alcotest.test_case "full sink exits 1 after the report" `Quick
+            test_cli_full_sink;
         ] );
     ]
